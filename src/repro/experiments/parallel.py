@@ -1,13 +1,19 @@
 """Process-pool experiment engine with deterministic results.
 
-The unit of work stays :func:`repro.experiments.runner.run_experiment`
-— one (application, configuration) cell — so a cell computes the exact
-same :class:`~repro.experiments.runner.ExperimentResult` whether it runs
-in-process or in a worker. The engine adds, around that unit:
+A cell is one (application, configuration) pair. The unit of work is
+a *Baseline family*: the cache-missing ``baseline``, ``oracle-halt`` and
+``ideal`` cells that one Baseline simulation can serve run as one
+:func:`repro.experiments.runner.run_family` call, and every other cell
+runs alone through :func:`run_cell`. A cold ``repro all`` thus makes
+three live simulations per app, not five. Each cell still computes the
+exact :class:`~repro.experiments.runner.ExperimentResult` that
+:func:`~repro.experiments.runner.run_experiment` gives it, in-process
+or in a worker, and keeps its own result slot, cache entry, journal
+records and :class:`CellFailure`. The engine adds, around that unit:
 
 * fan-out over ``multiprocessing`` fork workers with chunked dispatch
-  and result ordering that matches submission order regardless of
-  completion order;
+  (a family is never split) and result ordering that matches
+  submission order regardless of completion order;
 * an on-disk :class:`~repro.experiments.cache.ResultCache` so warm
   re-runs perform zero re-simulations;
 * robustness: a per-cell timeout with bounded retry, worker-crash
@@ -41,8 +47,9 @@ from typing import Any, Optional
 from repro.config import MachineConfig
 from repro.errors import CampaignInterrupted, ConfigError, ExperimentError
 from repro.experiments.cache import ResultCache, content_key
+from repro.experiments.configs import DERIVED_CONFIGS
 from repro.experiments.preemption import DEFAULT_DRAIN_DEADLINE_S
-from repro.experiments.runner import DEFAULT_SEED
+from repro.experiments.runner import DEFAULT_SEED, run_experiment, run_family
 from repro.experiments.watchdog import (
     BEAT,
     BEAT_INDEX,
@@ -59,9 +66,6 @@ _PENDING = object()
 #: watchdog's heartbeat messages) as the batch engine's chunk workers.
 OK = "ok"
 ERR = "error"
-
-_OK = OK
-_ERR = ERR
 
 #: How long (seconds) to keep draining a finished/terminated worker's
 #: queue for results that were in flight when it stopped.
@@ -198,8 +202,6 @@ def run_cell(cell):
     Shared by the batch engine and the serve worker pool, so a cell
     computes the identical result whichever execution path ran it.
     """
-    from repro.experiments.runner import run_experiment
-
     return run_experiment(
         cell.app, cell.config, threads=cell.threads, seed=cell.seed,
         machine_config=cell.machine_config, telemetry=cell.telemetry,
@@ -207,7 +209,61 @@ def run_cell(cell):
     )
 
 
-_run_cell = run_cell
+def _units(cells, pending, share_baseline):
+    """Dispatch units over the pending indices, by first member.
+
+    A unit is a tuple of ``(index, cell)`` pairs that one task call
+    serves. With ``share_baseline`` the pending cells one Baseline
+    simulation can serve (same app, threads, seed, machine and
+    telemetry flag) form one unit: derived cells replay the Baseline
+    and ignore their overrides, and a ``baseline`` cell joins only
+    without overrides, so its simulation is exactly the shared one.
+    Every other cell is a unit of its own.
+    """
+    units = []
+    families = {}
+    for index in pending:
+        cell = cells[index]
+        if share_baseline and (
+            cell.config in DERIVED_CONFIGS
+            or (cell.config == "baseline" and not cell.overrides)
+        ):
+            key = (
+                cell.app, cell.threads, cell.seed,
+                cell.machine_config or MachineConfig(), cell.telemetry,
+            )
+            if key in families:
+                families[key].append((index, cell))
+                continue
+            families[key] = [(index, cell)]
+            units.append(families[key])
+        else:
+            units.append([(index, cell)])
+    return [tuple(unit) for unit in units]
+
+
+def _run_unit(unit, task, catch=Exception):
+    """Run one dispatch unit: ``[(index, status, payload)]`` per cell.
+
+    A lone cell runs ``task``; a Baseline family runs one
+    :func:`~repro.experiments.runner.run_family` call. When the call
+    raises, every cell of the unit gets the error.
+    """
+    try:
+        if len(unit) == 1:
+            values = [task(unit[0][1])]
+        else:
+            head = unit[0][1]
+            values = run_family(
+                head.app, [cell.config for _, cell in unit],
+                threads=head.threads, seed=head.seed,
+                machine_config=head.machine_config,
+                telemetry=head.telemetry,
+            )
+    except catch as exc:
+        error = (type(exc).__name__, str(exc))
+        return [(index, ERR, error) for index, _ in unit]
+    return [(index, OK, value) for (index, _), value in zip(unit, values)]
 
 
 def record_engine_metrics(metrics, engine):
@@ -232,8 +288,8 @@ def record_engine_metrics(metrics, engine):
 
 
 def _chunk_worker(chunk, out_queue, task_fn, beat_interval_s=None):
-    """Worker body: run a chunk of cells, posting each result as it
-    completes so a later crash/timeout only loses unfinished cells.
+    """Worker body: run a chunk of units, posting each result as its
+    unit completes so a later crash/timeout only loses unfinished cells.
 
     ``out_queue`` is a SimpleQueue: ``put`` writes synchronously (no
     feeder thread), so once a cell's put returns, its result survives
@@ -246,13 +302,9 @@ def _chunk_worker(chunk, out_queue, task_fn, beat_interval_s=None):
     if beat_interval_s is not None:
         stop_beats = start_beat_thread(out_queue, beat_interval_s)
     try:
-        for index, cell in chunk:
-            try:
-                result = task_fn(cell)
-            except BaseException as exc:
-                out_queue.put((index, _ERR, (type(exc).__name__, str(exc))))
-            else:
-                out_queue.put((index, _OK, result))
+        for unit in chunk:
+            for message in _run_unit(unit, task_fn, catch=BaseException):
+                out_queue.put(message)
     finally:
         if stop_beats is not None:
             stop_beats.set()
@@ -271,9 +323,6 @@ def cell_id(cell, index):
     if app is not None:
         return "{}/{}#{}".format(app, getattr(cell, "config", "?"), index)
     return "cell#{}".format(index)
-
-
-_cell_id = cell_id
 
 
 def _fork_context():
@@ -295,8 +344,17 @@ def _fork_context():
 class _WorkerState:
     process: Any
     out_queue: Any
+    units: list  # the dispatched chunk
     remaining: dict  # index -> cell, in dispatch order
     deadline: float
+
+    def remaining_units(self):
+        """The chunk's units cut down to their unfinished cells."""
+        units = (
+            tuple(pair for pair in unit if pair[0] in self.remaining)
+            for unit in self.units
+        )
+        return [unit for unit in units if unit]
 
 
 class ExperimentEngine:
@@ -323,8 +381,9 @@ class ExperimentEngine:
         :class:`CellFailure` records and the rest of the matrix
         completes.
     chunksize:
-        Cells dispatched to a worker at a time. ``None`` auto-sizes to
-        about four chunks per worker.
+        Units (a lone cell or a Baseline family) dispatched to a
+        worker at a time. ``None`` auto-sizes to about four chunks per
+        worker.
     backoff_base_s / backoff_cap_s / backoff_seed:
         Retried cells wait ``min(cap, base * 2**(retry-1))`` seconds
         (with deterministic seeded jitter, see :class:`RetryBackoff`)
@@ -409,9 +468,10 @@ class ExperimentEngine:
 
         Each slot of the returned list is the task's result or a
         :class:`CellFailure`. With the default task (``task_fn=None``)
-        the cache is consulted first and fed on success; a custom
-        ``task_fn`` bypasses the cache (its inputs are not content-
-        addressed).
+        the cache is consulted first and fed on success, and the
+        cache misses of one Baseline family share one simulation; a
+        custom ``task_fn`` runs once per cell and bypasses the cache
+        (its inputs are not content-addressed).
         """
         cells = list(cells)
         self.stats.submitted += len(cells)
@@ -429,20 +489,21 @@ class ExperimentEngine:
                     self.stats.cache_hits += 1
                     if self.journal is not None:
                         self.journal.record_completed(
-                            _cell_id(cell, index), index=index, key=key,
+                            cell_id(cell, index), index=index, key=key,
                             cached=True,
                         )
                     continue
             pending.append(index)
-        task = task_fn or _run_cell
-        if pending:
+        units = _units(cells, pending, share_baseline=task_fn is None)
+        task = task_fn or run_cell
+        if units:
             context = _fork_context()
-            if self.workers > 1 and len(pending) > 1 and context is not None:
+            if self.workers > 1 and len(units) > 1 and context is not None:
                 self._run_parallel(
-                    context, cells, pending, results, task, use_cache
+                    context, cells, units, results, task, use_cache
                 )
             else:
-                self._run_serial(cells, pending, results, task, use_cache)
+                self._run_serial(cells, units, results, task, use_cache)
         if self.journal is not None:
             failures = sum(
                 1 for r in results if isinstance(r, CellFailure)
@@ -548,70 +609,86 @@ class ExperimentEngine:
                 error=self.cache.last_write_error or "",
             ))
 
+    def _record(self, cells, index, status, payload, results, use_cache,
+                attempts=1):
+        """File one cell's outcome: result slot, cache, journal, stats."""
+        cell = cells[index]
+        journal = self.journal
+        if status == OK:
+            results[index] = payload
+            self.stats.executed += 1
+            key = None
+            if use_cache:
+                key = cell.key()
+                self._cache_store(key, payload)
+            if journal is not None:
+                journal.record_completed(
+                    cell_id(cell, index), index=index, key=key,
+                )
+            self._note_completion(results)
+            return
+        error_type, message = payload
+        results[index] = CellFailure(
+            cell=cell, kind="error", error_type=error_type,
+            message=message, attempts=attempts,
+        )
+        self.stats.failures += 1
+        if journal is not None:
+            # A raising cell is deterministic — never retried — so an
+            # error here is already permanent.
+            journal.record_failed_permanent(
+                cell_id(cell, index), index=index, kind="error",
+                message="{}: {}".format(error_type, message),
+                attempts=attempts,
+                retry_delays=self.cell_retry_delays.get(index, []),
+            )
+
     # ------------------------------------------------------------------
     # serial path
 
-    def _run_serial(self, cells, pending, results, task, use_cache):
-        journal = self.journal
-        for index in pending:
+    def _run_serial(self, cells, units, results, task, use_cache):
+        # A unit runs when its first cell comes up. Its other cells'
+        # outcomes wait for their own turns, so preemption checks,
+        # checkpoints and the journal still go one cell at a time in
+        # submission order, and no simulation outlives its unit.
+        unit_of = {index: unit for unit in units for index, _ in unit}
+        ready = {}
+        for index in sorted(unit_of):
             if self._preempted():
                 self._raise_interrupted(results)
-            cell = cells[index]
-            if journal is not None:
-                journal.record_dispatched(_cell_id(cell, index), index=index)
-            try:
-                result = task(cell)
-            except Exception as exc:
-                results[index] = CellFailure(
-                    cell=cell, kind="error",
-                    error_type=type(exc).__name__, message=str(exc),
+            if self.journal is not None:
+                self.journal.record_dispatched(
+                    cell_id(cells[index], index), index=index,
                 )
-                self.stats.failures += 1
-                if journal is not None:
-                    journal.record_failed_permanent(
-                        _cell_id(cell, index), index=index, kind="error",
-                        message="{}: {}".format(
-                            type(exc).__name__, exc
-                        ),
-                    )
-            else:
-                results[index] = result
-                self.stats.executed += 1
-                key = None
-                if use_cache:
-                    key = cell.key()
-                    self._cache_store(key, result)
-                if journal is not None:
-                    journal.record_completed(
-                        _cell_id(cell, index), index=index, key=key,
-                    )
-                self._note_completion(results)
+            if index not in ready:
+                for done, status, payload in _run_unit(unit_of[index], task):
+                    ready[done] = (status, payload)
+            status, payload = ready.pop(index)
+            self._record(cells, index, status, payload, results, use_cache)
 
     # ------------------------------------------------------------------
     # parallel path
 
-    def _chunks(self, cells, pending):
+    def _chunks(self, units):
         """Initial work queue: ``(eligible_at, chunk)`` pairs.
 
-        ``eligible_at`` is a ``time.monotonic()`` instant before which
-        the chunk must not be dispatched; fresh work is eligible
-        immediately (0.0) and only backoff-delayed retries carry a
-        future instant.
+        A chunk is a list of units. ``eligible_at`` is a
+        ``time.monotonic()`` instant before which the chunk must not be
+        dispatched; fresh work is eligible immediately (0.0) and only
+        backoff-delayed retries carry a future instant.
         """
         size = self.chunksize
         if size is None:
-            size = max(1, -(-len(pending) // (self.workers * 4)))
-        work = deque()
-        for start in range(0, len(pending), size):
-            work.append(
-                (0.0, [(i, cells[i]) for i in pending[start:start + size]])
-            )
-        return work
+            size = max(1, -(-len(units) // (self.workers * 4)))
+        return deque(
+            (0.0, units[start:start + size])
+            for start in range(0, len(units), size)
+        )
 
-    def _run_parallel(self, context, cells, pending, results, task,
+    def _run_parallel(self, context, cells, units, results, task,
                       use_cache):
-        work = self._chunks(cells, pending)
-        attempts = {index: 1 for index in pending}
+        work = self._chunks(units)
+        attempts = {index: 1 for unit in units for index, _ in unit}
         active = []
         timeout = self.timeout if self.timeout is not None else float("inf")
         journal = self.journal
@@ -626,36 +703,10 @@ class ExperimentEngine:
         def record(index, status, payload):
             if results[index] is not _PENDING:
                 return  # late duplicate from a terminated worker
-            if status == _OK:
-                results[index] = payload
-                self.stats.executed += 1
-                key = None
-                if use_cache:
-                    key = cells[index].key()
-                    self._cache_store(key, payload)
-                if journal is not None:
-                    journal.record_completed(
-                        _cell_id(cells[index], index), index=index, key=key,
-                    )
-                self._note_completion(results)
-            else:
-                error_type, message = payload
-                results[index] = CellFailure(
-                    cell=cells[index], kind="error",
-                    error_type=error_type, message=message,
-                    attempts=attempts[index],
-                )
-                self.stats.failures += 1
-                if journal is not None:
-                    # A raising cell is deterministic — never retried —
-                    # so an error here is already permanent.
-                    journal.record_failed_permanent(
-                        _cell_id(cells[index], index), index=index,
-                        kind="error",
-                        message="{}: {}".format(error_type, message),
-                        attempts=attempts[index],
-                        retry_delays=self.cell_retry_delays.get(index, []),
-                    )
+            self._record(
+                cells, index, status, payload, results, use_cache,
+                attempts[index],
+            )
 
         def consume(state, message):
             index, status, payload = message
@@ -689,36 +740,48 @@ class ExperimentEngine:
                 else:
                     time.sleep(_POLL_S)
 
-        def retire(index, cell, kind, message=""):
-            if attempts[index] <= self.retries:
-                delay = backoff.delay_for(attempts[index])
-                self.stats.retries += 1
-                self.retry_delays.append(delay)
-                self.cell_retry_delays.setdefault(index, []).append(delay)
-                if journal is not None:
-                    journal.record_failed(
-                        _cell_id(cell, index), index=index, kind=kind,
-                        message=message, attempt=attempts[index],
+        def retire(members, kind, message=""):
+            # The unfinished cells of one unit share an attempt count.
+            # With attempts left they go back as one unit after one
+            # backoff delay; otherwise each fails for good.
+            attempt = attempts[members[0][0]]
+            retry = attempt <= self.retries
+            if retry:
+                delay = backoff.delay_for(attempt)
+                work.append((time.monotonic() + delay, [tuple(members)]))
+            for index, cell in members:
+                if retry:
+                    self.stats.retries += 1
+                    self.retry_delays.append(delay)
+                    self.cell_retry_delays.setdefault(index, []).append(
+                        delay
                     )
-                attempts[index] += 1
-                work.append((time.monotonic() + delay, [(index, cell)]))
-            else:
+                    if journal is not None:
+                        journal.record_failed(
+                            cell_id(cell, index), index=index, kind=kind,
+                            message=message, attempt=attempt,
+                        )
+                    attempts[index] += 1
+                    continue
                 results[index] = CellFailure(
-                    cell=cell, kind=kind, message=message,
-                    attempts=attempts[index],
+                    cell=cell, kind=kind, message=message, attempts=attempt,
                 )
                 self.stats.failures += 1
                 if journal is not None:
                     journal.record_failed_permanent(
-                        _cell_id(cell, index), index=index, kind=kind,
-                        message=message, attempts=attempts[index],
+                        cell_id(cell, index), index=index, kind=kind,
+                        message=message, attempts=attempt,
                         retry_delays=self.cell_retry_delays.get(index, []),
                     )
 
         def launch():
             # One bounded pass: each queued chunk is examined at most
             # once, and chunks still inside their backoff window keep
-            # their relative order at the back of the queue.
+            # their relative order at the back of the queue. Nothing is
+            # dispatched once preemption is requested, as in the serial
+            # lane.
+            if self._preempted():
+                return
             now = time.monotonic()
             beat_interval = (
                 watchdog.beat_interval_s if watchdog is not None else None
@@ -739,16 +802,20 @@ class ExperimentEngine:
                 process.start()
                 if monitor is not None:
                     monitor.register(process.pid)
+                remaining = {
+                    index: cell for unit in chunk for index, cell in unit
+                }
                 if journal is not None:
-                    for index, cell in chunk:
+                    for index, cell in remaining.items():
                         journal.record_dispatched(
-                            _cell_id(cell, index), index=index,
+                            cell_id(cell, index), index=index,
                             attempt=attempts[index],
                         )
                 active.append(_WorkerState(
                     process=process,
                     out_queue=out_queue,
-                    remaining=dict(chunk),
+                    units=chunk,
+                    remaining=remaining,
                     deadline=time.monotonic() + timeout,
                 ))
 
@@ -765,15 +832,24 @@ class ExperimentEngine:
             if monitor is not None:
                 monitor.forget(process.pid)
 
-        def requeue_innocents(state):
-            # Cells behind the one that struck out never started; they
+        def strike(state, kind, message, stuck=None):
+            # Kill the worker and charge an attempt to ``stuck`` (by
+            # default its first unfinished unit after the drain: the
+            # chunk runs in order). Units behind it never started; they
             # are requeued without an attempt charged.
-            innocent = [
-                (i, c) for i, c in state.remaining.items()
-                if results[i] is _PENDING
-            ]
+            stop(state)
+            drain(state, _DRAIN_BUDGET_S)
+            if stuck is None:
+                stuck = next(iter(state.remaining_units()), ())
+            members = [(i, c) for i, c in stuck if i in state.remaining]
+            for index, _ in members:
+                del state.remaining[index]
+            if members:
+                retire(members, kind, message)
+            innocent = state.remaining_units()
             if innocent:
                 work.append((0.0, innocent))
+            active.remove(state)
 
         def preempt_shutdown():
             # Stop dispatch, give in-flight workers the drain deadline
@@ -823,9 +899,9 @@ class ExperimentEngine:
                         # Crashed mid-chunk: salvage queued results, then
                         # retry (or fail) the cells that never finished.
                         drain(state, _DRAIN_BUDGET_S)
-                        for index, cell in list(state.remaining.items()):
+                        for members in state.remaining_units():
                             retire(
-                                index, cell, "crashed",
+                                members, "crashed",
                                 "worker exited with code {}".format(
                                     state.process.exitcode
                                 ),
@@ -836,20 +912,12 @@ class ExperimentEngine:
                         active.remove(state)
                         progressed = True
                     elif time.monotonic() >= state.deadline:
-                        # The chunk runs in order, so the first remaining
-                        # cell is the one over budget; later cells never
-                        # started and are requeued without penalty.
-                        stuck = next(iter(state.remaining))
-                        stop(state)
-                        drain(state, _DRAIN_BUDGET_S)
-                        if stuck in state.remaining:
-                            cell = state.remaining.pop(stuck)
-                            retire(
-                                stuck, cell, "timeout",
-                                "exceeded {:.3g}s".format(timeout),
-                            )
-                        requeue_innocents(state)
-                        active.remove(state)
+                        # The first unfinished unit is over budget.
+                        strike(
+                            state, "timeout",
+                            "exceeded {:.3g}s".format(timeout),
+                            stuck=state.remaining_units()[0],
+                        )
                         progressed = True
                     elif (
                         monitor is not None
@@ -875,17 +943,10 @@ class ExperimentEngine:
                                 cells=len(state.remaining),
                                 stale_s=round(stale_s, 3),
                             ))
-                        stop(state)
-                        drain(state, _DRAIN_BUDGET_S)
-                        stuck = next(iter(state.remaining), None)
-                        if stuck is not None:
-                            cell = state.remaining.pop(stuck)
-                            retire(
-                                stuck, cell, "stalled",
-                                "no heartbeat for {:.2f}s".format(stale_s),
-                            )
-                        requeue_innocents(state)
-                        active.remove(state)
+                        strike(
+                            state, "stalled",
+                            "no heartbeat for {:.2f}s".format(stale_s),
+                        )
                         progressed = True
                 launch()
                 if not progressed:

@@ -1,13 +1,17 @@
 """Run (application x configuration) experiment cells.
 
-The unit of work is :func:`run_experiment`; :func:`run_app` produces all
-five configurations for one application (sharing one Baseline run for
-the two derived oracles); :func:`run_matrix` sweeps applications —
-everything Figures 5 and 6 need.
+:func:`run_experiment` runs one cell. :func:`run_family` runs one
+Baseline simulation and derives any of ``baseline``, ``oracle-halt``
+and ``ideal`` from it, so those three cost one live run together.
+:func:`run_matrix` sweeps applications through the
+:class:`~repro.experiments.parallel.ExperimentEngine`, which shares the
+Baseline that way, so all five configurations of an app cost three live
+runs; :func:`run_app` is its one-app case. That is everything Figures 5
+and 6 need.
 """
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.config import MachineConfig
 from repro.energy.accounting import EnergyAccount
@@ -185,6 +189,42 @@ def _coerce_tracer(telemetry):
     return telemetry
 
 
+def run_family(
+    app, configs, threads=64, seed=DEFAULT_SEED, machine_config=None,
+    telemetry=False, fault_plan=None,
+):
+    """Results for ``configs`` from one shared Baseline simulation.
+
+    ``configs`` may name ``baseline`` and the derived oracles
+    (``oracle-halt``, ``ideal``), repeats allowed; the list returned is
+    aligned with it. The derived results are exact replays of the
+    Baseline run, so each equals what :func:`run_experiment` returns
+    for its cell alone. With ``telemetry`` truthy every result carries
+    the snapshot of the one traced Baseline simulation.
+    """
+    configs = tuple(configs)
+    for config in configs:
+        if config != "baseline" and config not in DERIVED_CONFIGS:
+            raise ConfigError(
+                "{!r} is not derived from the Baseline run".format(config)
+            )
+    tracer = _coerce_tracer(telemetry)
+    baseline_run = _run_live(
+        app, "baseline", threads, seed, machine_config, {},
+        telemetry=tracer, fault_plan=fault_plan,
+    )
+    snapshot = tracer.snapshot() if tracer is not None else None
+    results = []
+    for config in configs:
+        if config == "baseline":
+            result = _live_result(app, config, baseline_run)
+        else:
+            result = _derived_result(app, config, baseline_run)
+        result.telemetry = snapshot
+        results.append(result)
+    return results
+
+
 def run_experiment(
     app, config, threads=64, seed=DEFAULT_SEED,
     machine_config=None, telemetry=False, fault_plan=None,
@@ -200,28 +240,27 @@ def run_experiment(
     simulation they replay. ``fault_plan`` optionally installs a
     :class:`~repro.faults.plan.FaultPlan` into the live simulation
     (derived configurations replay their perturbed Baseline); ``None``
-    or a no-op plan leaves the machine untouched. Returns an
-    :class:`ExperimentResult`.
+    or a no-op plan leaves the machine untouched. The Baseline ignores
+    the thrifty overrides. Returns an :class:`ExperimentResult`.
     """
-    tracer = _coerce_tracer(telemetry)
-    if config in LIVE_CONFIGS:
-        run = _run_live(
-            app, config, threads, seed, machine_config, thrifty_overrides,
-            telemetry=tracer, fault_plan=fault_plan,
-        )
-        result = _live_result(app, config, run)
-    elif config in DERIVED_CONFIGS:
-        baseline_run = _run_live(
-            app, "baseline", threads, seed, machine_config, {},
-            telemetry=tracer, fault_plan=fault_plan,
-        )
-        result = _derived_result(app, config, baseline_run)
-    else:
+    if config == "baseline" or config in DERIVED_CONFIGS:
+        return run_family(
+            app, (config,), threads=threads, seed=seed,
+            machine_config=machine_config, telemetry=telemetry,
+            fault_plan=fault_plan,
+        )[0]
+    if config not in LIVE_CONFIGS:
         raise ConfigError(
             "unknown configuration {!r}; choose from {}".format(
                 config, ", ".join(CONFIG_NAMES)
             )
         )
+    tracer = _coerce_tracer(telemetry)
+    run = _run_live(
+        app, config, threads, seed, machine_config, thrifty_overrides,
+        telemetry=tracer, fault_plan=fault_plan,
+    )
+    result = _live_result(app, config, run)
     if tracer is not None:
         result.telemetry = tracer.snapshot()
     return result
@@ -230,35 +269,17 @@ def run_experiment(
 def run_app(
     app, threads=64, seed=DEFAULT_SEED, machine_config=None, configs=None,
 ):
-    """All requested configurations for one application.
+    """All requested configurations for one application:
+    ``{config: ExperimentResult}``.
 
-    The Baseline simulation is shared by the two derived oracles, so a
-    full five-way comparison costs three live runs.
+    A one-app :func:`run_matrix`, so a full five-way comparison costs
+    three live runs. A failing cell raises
+    :class:`~repro.errors.ExperimentError`.
     """
-    configs = tuple(configs or CONFIG_NAMES)
-    results: Dict[str, ExperimentResult] = {}
-    baseline_run = None
-    need_baseline = (
-        "baseline" in configs
-        or any(config in DERIVED_CONFIGS for config in configs)
-    )
-    if need_baseline:
-        baseline_run = _run_live(
-            app, "baseline", threads, seed, machine_config, {}
-        )
-    for config in configs:
-        if config == "baseline":
-            results[config] = _live_result(app, config, baseline_run)
-        elif config in DERIVED_CONFIGS:
-            results[config] = _derived_result(app, config, baseline_run)
-        elif config in LIVE_CONFIGS:
-            run = _run_live(
-                app, config, threads, seed, machine_config, {}
-            )
-            results[config] = _live_result(app, config, run)
-        else:
-            raise ConfigError("unknown configuration {!r}".format(config))
-    return results
+    return run_matrix(
+        (app,), threads=threads, seed=seed,
+        machine_config=machine_config, configs=configs,
+    )[app]
 
 
 def run_matrix(
@@ -269,12 +290,12 @@ def run_matrix(
 ):
     """The full evaluation sweep: {app: {config: ExperimentResult}}.
 
-    ``workers=1`` with caching disabled takes the classic serial path
-    (one shared Baseline run per app feeds the derived oracles); any
-    other setting routes through the
-    :class:`~repro.experiments.parallel.ExperimentEngine`, which fans
-    cells out over processes and/or the on-disk result cache. Both
-    paths produce field-identical results for the same seed.
+    Every setting routes through the
+    :class:`~repro.experiments.parallel.ExperimentEngine`: ``workers=1``
+    runs in-process, more fan cells out over processes, and ``cache``
+    skips cells already on disk. Either way each app's Baseline
+    simulation is run once and feeds ``baseline``, ``oracle-halt`` and
+    ``ideal``, and results are field-identical for the same seed.
 
     ``cache`` is ``None`` (off), ``True`` (default directory), a path,
     or a :class:`~repro.experiments.cache.ResultCache`. With
@@ -294,38 +315,13 @@ def run_matrix(
     (a :class:`~repro.experiments.preemption.PreemptionGuard`-like
     object turning SIGTERM/SIGINT into a graceful
     :class:`~repro.errors.CampaignInterrupted`), and ``watchdog`` (a
-    hung-worker heartbeat policy). Any of them forces the engine path
-    even at ``workers=1`` with no cache.
+    hung-worker heartbeat policy).
     """
-    from repro.workloads.splash2 import SPLASH2_NAMES
-
-    apps = tuple(apps or SPLASH2_NAMES)
-    crash_safe = (
-        journal is not None or preemption is not None
-        or watchdog is not None
-    )
-    if workers == 1 and cache is None and not crash_safe:
-        matrix = {
-            app: run_app(
-                app, threads=threads, seed=seed,
-                machine_config=machine_config, configs=configs,
-            )
-            for app in apps
-        }
-        if metrics is not None:
-            # Mirror the engine-path counter set exactly, so serial and
-            # parallel runs print byte-identical CLI summaries.
-            from repro.experiments.parallel import EngineStats
-
-            cells = sum(len(row) for row in matrix.values())
-            mirror = EngineStats(submitted=cells, executed=cells)
-            for name, value in mirror.as_dict().items():
-                metrics.counter("engine.{}".format(name)).inc(value)
-        return matrix
     from repro.experiments.parallel import (
         ExperimentEngine,
         record_engine_metrics,
     )
+    from repro.workloads.splash2 import SPLASH2_NAMES
 
     engine = ExperimentEngine(
         workers=workers, cache=cache, timeout=timeout,
@@ -333,13 +329,12 @@ def run_matrix(
         preemption=preemption, watchdog=watchdog,
     )
     try:
-        matrix = engine.run_matrix(
-            apps, configs=configs, threads=threads, seed=seed,
-            machine_config=machine_config,
+        return engine.run_matrix(
+            tuple(apps or SPLASH2_NAMES), configs=configs,
+            threads=threads, seed=seed, machine_config=machine_config,
         )
     finally:
         # Recorded even on CampaignInterrupted: a preempted run's
         # partial counters are exactly what the operator needs to see.
         if metrics is not None:
             record_engine_metrics(metrics, engine)
-    return matrix
