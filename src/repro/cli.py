@@ -62,12 +62,11 @@ Exit codes
 import argparse
 import sys
 
-from repro.errors import CampaignInterrupted, ServeError
+from repro.errors import CampaignInterrupted
 from repro.experiments import figures, tables
 from repro.experiments import report
 from repro.experiments.preemption import EXIT_RESUMABLE, PreemptionGuard
 from repro.experiments.runner import DEFAULT_SEED, run_matrix
-from repro.serve.server import DEFAULT_PORT as SERVE_DEFAULT_PORT
 from repro.workloads.splash2 import SPLASH2_NAMES
 
 EXIT_OK = 0
@@ -90,10 +89,6 @@ _CHAOS_COMMANDS = ("chaos",)
 #: Model-checking commands: bounded schedule exploration and replay.
 _CHECK_COMMANDS = ("check",)
 
-#: Campaign-service commands: the server plus its client verbs.
-_SERVE_COMMANDS = ("serve", "submit", "status", "results", "cancel",
-                   "shutdown")
-
 #: Result-cache maintenance.
 _CACHE_COMMANDS = ("cache",)
 
@@ -112,22 +107,18 @@ def build_parser():
     parser.add_argument(
         "artifact",
         choices=(_ARTIFACTS + _CELL_COMMANDS + _CHAOS_COMMANDS
-                 + _CHECK_COMMANDS + _SERVE_COMMANDS + _CACHE_COMMANDS
-                 + _FSCK_COMMANDS),
+                 + _CHECK_COMMANDS + _CACHE_COMMANDS + _FSCK_COMMANDS),
         help="which artifact to regenerate, a telemetry command "
              "(run / trace / metrics) on one experiment cell, "
              "'chaos' to run a seeded fault-injection campaign, "
              "'check' to model-check barrier/sleep protocols over "
-             "alternative event orderings, "
-             "a campaign-service command (serve / submit / status / "
-             "results / cancel / shutdown), 'cache' maintenance, or "
+             "alternative event orderings, 'cache' maintenance, or "
              "'fsck' to audit/repair journal and cache trees",
     )
     parser.add_argument(
         "action", nargs="?", default=None, metavar="ARG",
-        help="campaign id for status/results/cancel, the cache "
-             "action (stats / prune / clear), or the run id for fsck "
-             "(default: every journal)",
+        help="the cache action (stats / prune / clear), or the run id "
+             "for fsck (default: every journal)",
     )
     parser.add_argument(
         "--app", default="fmm", metavar="APP",
@@ -264,26 +255,6 @@ def build_parser():
              "<cache dir>/runs)",
     )
     parser.add_argument(
-        "--host", default="127.0.0.1", metavar="ADDR",
-        help="campaign-service bind/connect address "
-             "(default 127.0.0.1)",
-    )
-    parser.add_argument(
-        "--port", type=int, default=None, metavar="PORT",
-        help="campaign-service port (default {}; 0 = pick a free "
-             "port when serving)".format(SERVE_DEFAULT_PORT),
-    )
-    parser.add_argument(
-        "--pool", type=int, default=2, metavar="N",
-        help="initial worker-pool size for 'serve' (default 2; "
-             "hotplug at runtime via POST /pool)",
-    )
-    parser.add_argument(
-        "--timeout", type=float, default=600.0, metavar="S",
-        help="client-side wait budget in seconds for 'results' "
-             "(default 600)",
-    )
-    parser.add_argument(
         "--max-entries", type=int, default=None, metavar="N",
         help="entry budget for 'cache prune'",
     )
@@ -292,18 +263,6 @@ def build_parser():
         help="fsck: apply the safe repairs (truncate torn journal "
              "tails, quarantine corrupt payloads, sweep stale tmp "
              "files) instead of only reporting",
-    )
-    parser.add_argument(
-        "--idle-timeout", type=float, default=30.0, metavar="S",
-        help="serve: per-connection idle/read deadline in seconds; a "
-             "stalled client gets 408 and its connection back "
-             "(default 30, 0 disables)",
-    )
-    parser.add_argument(
-        "--max-connections", type=int, default=128, metavar="N",
-        help="serve: load-shedding cap on concurrent connections; "
-             "beyond it new requests get 503 + Retry-After "
-             "(default 128, 0 disables)",
     )
     return parser
 
@@ -605,99 +564,6 @@ def _run_check_command(args):
     return EXIT_OK
 
 
-def _run_serve_command(args):
-    """The campaign-service commands: the server and its client verbs.
-
-    ``serve`` blocks until shut down (its exit status distinguishes a
-    clean stop from a preemption with in-flight campaigns, exactly
-    like a batch run). The client verbs talk to a running server;
-    ``submit`` prints the new campaign's run id *alone* on stdout so
-    shell scripts can capture it (details go to stderr).
-    """
-    import json
-
-    from repro.serve.client import ServeClient
-
-    port = args.port if args.port is not None else SERVE_DEFAULT_PORT
-    if args.artifact == "serve":
-        from repro.serve.server import CampaignServer
-
-        if args.no_cache:
-            return _usage(
-                "repro serve needs the result cache (cross-campaign "
-                "dedup and restart recovery are built on it); drop "
-                "--no-cache"
-            )
-        server = CampaignServer(
-            host=args.host, port=port, pool_size=args.pool,
-            cache=args.cache_dir, journal_root=args.journal_dir,
-            idle_timeout_s=args.idle_timeout or None,
-            max_connections=args.max_connections or None,
-        )
-        return server.run()
-
-    client = ServeClient(host=args.host, port=port)
-    try:
-        if args.artifact == "submit":
-            spec = {"threads": args.threads, "seed": args.seed}
-            if args.apps:
-                spec["apps"] = list(args.apps)
-            if args.configs:
-                spec["configs"] = list(args.configs)
-            status = client.submit(spec)
-            print(
-                "campaign {run_id}: {total} cells ({cached} cached, "
-                "{deduped} deduped), state {state}".format(**status),
-                file=sys.stderr,
-            )
-            print(status["run_id"])
-            return EXIT_OK
-        if args.artifact == "shutdown":
-            client.shutdown()
-            print("server stopping", file=sys.stderr)
-            return EXIT_OK
-        if not args.action:
-            return _usage(
-                "repro {} needs a campaign id (see 'repro submit' "
-                "output or GET /campaigns)".format(args.artifact)
-            )
-        if args.artifact == "status":
-            print(json.dumps(client.status(args.action), indent=2,
-                             sort_keys=True))
-            return EXIT_OK
-        if args.artifact == "cancel":
-            status = client.cancel(args.action)
-            print("campaign {} {} after {} of {} cells".format(
-                status["run_id"], status["state"],
-                status["completed"], status["total"],
-            ))
-            return EXIT_OK
-        # results: wait for the terminal state, then fetch.
-        status = client.wait(args.action, timeout=args.timeout)
-        if status["state"] == "cancelled":
-            print("campaign {} was cancelled".format(args.action),
-                  file=sys.stderr)
-            return EXIT_VIOLATION
-        document = client.results(args.action)
-        text = json.dumps(document["records"], indent=2, sort_keys=True)
-        if args.json:
-            from repro.experiments.journal import atomic_write_text
-
-            atomic_write_text(args.json, text + "\n")
-            print("results written to {}".format(args.json),
-                  file=sys.stderr)
-        else:
-            print(text)
-        if document["failed"]:
-            print("{} cell(s) failed".format(document["failed"]),
-                  file=sys.stderr)
-            return EXIT_VIOLATION
-        return EXIT_OK
-    except ServeError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_VIOLATION
-
-
 def _run_fsck_command(args):
     """``repro fsck [RUN_ID] [--repair]``: audit journals and cache.
 
@@ -754,7 +620,6 @@ def _run_cache_command(args):
     stats = dict(cache.stats())
     stats["entries"] = len(cache)
     stats["size_bytes"] = cache.size_bytes()
-    stats["layout"] = cache.layout()
     stats["cache_dir"] = str(cache.cache_dir)
     print(json.dumps(stats, indent=2, sort_keys=True))
     return EXIT_OK
@@ -772,8 +637,6 @@ def main(argv=None):
     from repro.faults.storage import install_from_env
 
     install_from_env()
-    if args.artifact in _SERVE_COMMANDS:
-        return _run_serve_command(args)
     if args.artifact in _FSCK_COMMANDS:
         return _run_fsck_command(args)
     if args.artifact in _CACHE_COMMANDS:

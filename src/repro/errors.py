@@ -45,18 +45,6 @@ class ExperimentError(ReproError):
         self.failures = tuple(failures)
 
 
-class ServeError(ReproError):
-    """A campaign-service request failed (client side or server side).
-
-    Carries the HTTP status the server answered with (0 when the
-    failure happened before any response — connection refused, timeout).
-    """
-
-    def __init__(self, message, status=0):
-        super().__init__(message)
-        self.status = status
-
-
 class CampaignInterrupted(ReproError):
     """A campaign was preempted (SIGTERM/SIGINT) and stopped gracefully.
 

@@ -10,13 +10,9 @@ figure, sweep, or benchmark therefore skips every already-simulated
 cell.
 
 Cache entries are individual pickle files **sharded** into 2-hex
-content-hash prefix directories (``<dir>/ab/<key>.pkl``), so many
-concurrent campaigns — every worker of every overlapping submission —
-fan their writes out over 256 directories instead of contending on
-one. Early versions of the cache wrote flat entries directly under the
-root (``<dir>/<key>.pkl``); those are still readable and are migrated
-into their shard transparently on first access (:meth:`ResultCache.
-get`) or in bulk (:meth:`ResultCache.migrate`).
+content-hash prefix directories (``<dir>/ab/<key>.pkl``), so
+concurrent workers fan their writes out over 256 directories instead
+of contending on one.
 
 Writes are atomic (temp file + ``os.replace``), and any entry that
 fails to load — truncated, corrupted, or written by an incompatible
@@ -131,7 +127,6 @@ class ResultCache:
         self.misses = 0
         self.stores = 0
         self.errors = 0
-        self.migrations = 0
         #: Stores lost to a failing disk (degraded, not raised).
         self.write_errors = 0
         self.last_write_error = None
@@ -162,10 +157,6 @@ class ResultCache:
         """The canonical (sharded) location of a key's entry."""
         return self.cache_dir / key[:2] / (key + _ENTRY_SUFFIX)
 
-    def _legacy_path(self, key):
-        """Where the pre-shard flat layout kept this key's entry."""
-        return self.cache_dir / (key + _ENTRY_SUFFIX)
-
     @staticmethod
     def _load(path):
         """``(value, status)`` with status 'hit'/'missing'/'corrupt'."""
@@ -184,45 +175,10 @@ class ResultCache:
         except OSError:
             pass
 
-    def _migrate_entry(self, legacy, sharded):
-        """Move one flat legacy entry into its shard, racing safely.
-
-        ``os.replace`` is atomic; if a concurrent process migrated the
-        same entry first (the source vanished) that is success, not
-        failure — identical keys hold identical content by
-        construction.
-        """
-        try:
-            sharded.parent.mkdir(parents=True, exist_ok=True)
-            os.replace(legacy, sharded)
-        except OSError:
-            return False
-        self.migrations += 1
-        return True
-
     def get(self, key, default=None):
-        """Load a cached result, or ``default`` on miss/corruption.
-
-        Looks in the sharded layout first, then falls back to the flat
-        legacy layout; a legacy hit migrates the entry into its shard
-        so the flat directory drains over time. A concurrent migration
-        by another process can make the flat entry vanish between the
-        two probes, so a flat miss re-checks the shard once before
-        declaring an overall miss.
-        """
+        """Load a cached result, or ``default`` on miss/corruption."""
         path = self._entry_path(key)
         value, status = self._load(path)
-        if status == "missing":
-            legacy = self._legacy_path(key)
-            value, status = self._load(legacy)
-            if status == "hit":
-                self._migrate_entry(legacy, path)
-            elif status == "missing":
-                # Another process may have just migrated this entry
-                # out from under us; the shard is now authoritative.
-                value, status = self._load(path)
-            elif status == "corrupt":
-                path = legacy
         if status == "hit":
             self.hits += 1
             return value
@@ -236,10 +192,7 @@ class ResultCache:
     def put(self, key, value):
         """Store a result atomically and durably (temp file, fsync,
         rename): a crash mid-``put`` leaves at worst a stale ``.tmp``
-        file — never a truncated entry under the real name. A legacy
-        flat-layout entry for the same key is dropped afterwards so
-        the key is never double-counted (the shard always wins reads
-        anyway).
+        file — never a truncated entry under the real name.
 
         Returns True when the entry landed. A failing disk (ENOSPC,
         EIO — injected or real) degrades to False: the store is
@@ -264,21 +217,14 @@ class ResultCache:
                     RuntimeWarning, stacklevel=2,
                 )
             return False
-        try:
-            self._legacy_path(key).unlink()
-        except OSError:
-            pass
         self.stores += 1
         return True
 
     def __contains__(self, key):
-        return (
-            self._entry_path(key).exists()
-            or self._legacy_path(key).exists()
-        )
+        return self._entry_path(key).exists()
 
     def entries(self):
-        """All entry paths currently on disk (sharded and legacy-flat).
+        """All entry paths currently on disk.
 
         Only the 2-hex shard directories are scanned, so foreign
         subdirectories (e.g. an fsck ``quarantine/``) are never counted
@@ -286,31 +232,7 @@ class ResultCache:
         """
         if not self.cache_dir.is_dir():
             return []
-        sharded = self.cache_dir.glob(_SHARD_GLOB + "/*" + _ENTRY_SUFFIX)
-        flat = self.cache_dir.glob("*" + _ENTRY_SUFFIX)
-        return sorted(sharded) + sorted(flat)
-
-    def legacy_entries(self):
-        """Flat pre-shard entries still awaiting migration."""
-        if not self.cache_dir.is_dir():
-            return []
-        return sorted(self.cache_dir.glob("*" + _ENTRY_SUFFIX))
-
-    def layout(self):
-        """``{"sharded": n, "flat": n}`` — how far migration has got."""
-        flat = len(self.legacy_entries())
-        return {"sharded": len(self.entries()) - flat, "flat": flat}
-
-    def migrate(self):
-        """Move every flat legacy entry into its shard; returns the
-        number migrated. Safe to run concurrently with readers and
-        other migrators (atomic renames; losing a race is a no-op)."""
-        moved = 0
-        for legacy in self.legacy_entries():
-            key = legacy.name[:-len(_ENTRY_SUFFIX)]
-            if self._migrate_entry(legacy, self._entry_path(key)):
-                moved += 1
-        return moved
+        return sorted(self.cache_dir.glob(_SHARD_GLOB + "/*" + _ENTRY_SUFFIX))
 
     def __len__(self):
         return len(self.entries())
@@ -321,9 +243,7 @@ class ResultCache:
         of entries removed (tmp leftovers are not counted)."""
         stale = []
         if self.cache_dir.is_dir():
-            stale = sorted(self.cache_dir.glob(_SHARD_GLOB + "/*.tmp")) + sorted(
-                self.cache_dir.glob("*.tmp")
-            )
+            stale = sorted(self.cache_dir.glob(_SHARD_GLOB + "/*.tmp"))
         entries = list(self.entries())
         removed = 0
         for path in entries + stale:
@@ -358,7 +278,6 @@ class ResultCache:
             "misses": self.misses,
             "stores": self.stores,
             "errors": self.errors,
-            "migrations": self.migrations,
             "write_errors": self.write_errors,
         }
 

@@ -332,10 +332,10 @@ def fsck_run(run_dir, repair=False):
 def fsck_cache(cache_dir, repair=False):
     """Audit (and optionally repair) a result-cache tree.
 
-    Every entry (sharded and legacy-flat) must unpickle; corrupt
-    entries are quarantined — the cache would have treated them as
-    misses anyway, but leaving them means every warm run pays the
-    load-and-evict cost and the operator never hears about it.
+    Every entry must unpickle; corrupt entries are quarantined — the
+    cache would have treated them as misses anyway, but leaving them
+    means every warm run pays the load-and-evict cost and the operator
+    never hears about it.
     """
     cache_dir = Path(cache_dir)
     report = FsckReport(root=str(cache_dir))
@@ -346,7 +346,7 @@ def fsck_cache(cache_dir, repair=False):
         entry for entry in cache_dir.iterdir()
         if entry.is_dir() and _SHARD_RE.match(entry.name)
     )
-    for directory in [cache_dir] + shard_dirs:
+    for directory in shard_dirs:
         for entry in sorted(directory.glob("*.pkl")):
             if not _CACHE_ENTRY_RE.match(entry.name):
                 continue

@@ -89,7 +89,6 @@ RECORD_KINDS = (
     "worker-stalled",
     "checkpoint",
     "interrupted",
-    "cancelled",
     "resumed",
     "finished",
 )
@@ -106,9 +105,8 @@ def default_journal_root():
 def list_run_ids(root=None):
     """Run ids of every journal under ``root``, sorted.
 
-    A directory counts as a journal when it holds a ``spec.json``; the
-    campaign service uses this on startup to find in-flight runs a
-    killed server left behind.
+    A directory counts as a journal when it holds a ``spec.json``;
+    ``repro fsck`` audits every run this returns.
     """
     root = Path(root) if root else default_journal_root()
     if not root.is_dir():
@@ -153,7 +151,6 @@ class JournalState:
     dispatches: int = 0
     stalls: int = 0
     interruptions: int = 0
-    cancellations: int = 0
     resumes: int = 0
     checkpoints: int = 0
     finished: bool = False
@@ -366,14 +363,6 @@ class RunJournal:
             "interrupted", reason=reason, completed=completed, total=total,
         )
 
-    def record_cancelled(self, reason, completed, total):
-        """The campaign was cancelled *deliberately* (as opposed to
-        ``interrupted``, which marks a preempted-but-resumable stop):
-        a restarted server must not resume it."""
-        self.append(
-            "cancelled", reason=reason, completed=completed, total=total,
-        )
-
     def record_resumed(self, completed, remaining):
         self.append("resumed", completed=completed, remaining=remaining)
 
@@ -523,8 +512,6 @@ class RunJournal:
                 state.stalls += 1
             elif kind == "interrupted":
                 state.interruptions += 1
-            elif kind == "cancelled":
-                state.cancellations += 1
             elif kind == "resumed":
                 state.resumes += 1
             elif kind == "checkpoint":

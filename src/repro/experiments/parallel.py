@@ -61,9 +61,8 @@ from repro.experiments.watchdog import (
 #: Placeholder for a cell whose result has not been produced yet.
 _PENDING = object()
 
-#: Worker→supervisor message status tags. Public because the serve
-#: worker pool speaks the same queue protocol (results plus the
-#: watchdog's heartbeat messages) as the batch engine's chunk workers.
+#: Worker→supervisor message status tags, alongside the watchdog's
+#: heartbeat messages on the same result queue.
 OK = "ok"
 ERR = "error"
 
@@ -197,11 +196,7 @@ class RetryBackoff:
 
 
 def run_cell(cell):
-    """Default task: one ``run_experiment`` call (the bit-exact unit).
-
-    Shared by the batch engine and the serve worker pool, so a cell
-    computes the identical result whichever execution path ran it.
-    """
+    """Default task: one ``run_experiment`` call (the bit-exact unit)."""
     return run_experiment(
         cell.app, cell.config, threads=cell.threads, seed=cell.seed,
         machine_config=cell.machine_config, telemetry=cell.telemetry,
@@ -315,9 +310,7 @@ def cell_id(cell, index):
 
     Submission order is deterministic, so the index alone identifies
     the cell across an interrupt/resume; the app/config prefix is for
-    humans reading the journal. The serve subsystem journals its
-    campaign cells through the same function, so batch and served
-    journals replay identically.
+    humans reading the journal.
     """
     app = getattr(cell, "app", None)
     if app is not None:

@@ -1,6 +1,6 @@
 """Deterministic fault injection and invariant checking.
 
-Three layers:
+Four layers:
 
 * :mod:`repro.faults.plan` — :class:`FaultPlan`, the seeded declarative
   recipe of timing faults;
@@ -13,10 +13,7 @@ Three layers:
 * :mod:`repro.faults.storage` — :class:`StorageFaultInjector`, the
   same idea aimed at the repo's own durability layer: seeded ENOSPC /
   EIO / torn-write / crash-at-fsync injection behind the I/O shim the
-  journal and result cache write through;
-* :mod:`repro.faults.netchaos` — :class:`ChaosProxy`, an in-process
-  TCP forwarder injecting delays, drops, truncation, and corruption
-  between a serve client and its server.
+  journal and result cache write through.
 
 :mod:`repro.faults.chaos` (imported lazily — it pulls in the
 experiment harness) sweeps sampled plans across the paper's five
@@ -24,7 +21,6 @@ configurations; the CLI surfaces it as ``repro chaos``.
 """
 
 from repro.faults.injector import FAULT_KINDS, FaultInjector, install_fault_plan
-from repro.faults.netchaos import NET_FAULT_KINDS, ChaosProxy, NetChaosPlan
 from repro.faults.storage import (
     STORAGE_FAULT_KINDS,
     SimulatedCrash,
@@ -49,7 +45,6 @@ from repro.faults.plan import FaultPlan
 __all__ = [
     "BARRIER_LIVENESS",
     "BARRIER_SAFETY",
-    "ChaosProxy",
     "ENERGY_CONSERVATION",
     "FAULT_KINDS",
     "FaultInjector",
@@ -59,8 +54,6 @@ __all__ = [
     "InvariantError",
     "InvariantViolation",
     "MONOTONIC_TIME",
-    "NET_FAULT_KINDS",
-    "NetChaosPlan",
     "STORAGE_FAULT_KINDS",
     "SimulatedCrash",
     "StorageFaultInjector",

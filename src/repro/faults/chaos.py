@@ -1,12 +1,14 @@
 """Seeded chaos campaigns across the paper's five configurations.
 
 A campaign is a matrix of (application, configuration, fault plan)
-cells. Each cell runs one live simulation with the plan installed (the
-derived oracle configurations replay their perturbed Baseline), audits
-the full telemetry stream with the
-:class:`~repro.faults.invariants.InvariantChecker`, and reports what
-chaos cost: injected-fault counts, late wake-ups, and the energy and
-execution-time deltas against the same cell run clean. The thrifty
+cells. Each live simulation runs with the plan installed, its full
+telemetry stream is audited once with the
+:class:`~repro.faults.invariants.InvariantChecker`, and every cell it
+serves reports what chaos cost: injected-fault counts, late wake-ups,
+and the energy and execution-time deltas against the same cell run
+clean. ``baseline`` and the derived oracle configurations share one
+Baseline simulation per (application, plan), and one clean Baseline
+per application, as the experiment engine shares them. The thrifty
 configurations run with graceful degradation enabled
 (:data:`DEGRADED_THRIFTY`) so disabled predictors fall back to
 spin-then-sleep and re-enable after probation.
@@ -19,16 +21,14 @@ CI smoke job diff against a clean baseline.
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigError
-from repro.experiments.configs import (
-    CONFIG_NAMES,
-    DERIVED_CONFIGS,
-    LIVE_CONFIGS,
-)
+from repro.experiments.configs import CONFIG_NAMES, DERIVED_CONFIGS
 from repro.experiments.runner import (
     DEFAULT_SEED,
     _derived_result,
     _live_result,
     _run_live,
+    run_experiment,
+    run_family,
 )
 from repro.faults.injector import FAULT_KINDS
 from repro.faults.invariants import InvariantChecker
@@ -138,76 +138,116 @@ class ChaosCampaignReport:
         return sum(cell.late_wakes for cell in self.cells)
 
 
+def _simulation_of(config):
+    """The live configuration whose simulation yields ``config``."""
+    return "baseline" if config in DERIVED_CONFIGS else config
+
+
+def _family_of(config, configs):
+    """The members of ``configs`` served by ``config``'s simulation."""
+    live = _simulation_of(config)
+    return tuple(dict.fromkeys(
+        member for member in configs if _simulation_of(member) == live
+    ))
+
+
+def _run_chaos_family(
+    app, configs, plan, threads=16, seed=DEFAULT_SEED,
+    machine_config=None, deadline_ns=DEFAULT_DEADLINE_NS, cleans=None,
+):
+    """Run and audit the chaos cells ``configs`` of one (app, plan).
+
+    Returns :class:`ChaosCellReport` objects aligned with ``configs``.
+    Each live simulation runs and is audited once: ``baseline`` and the
+    derived oracles replay one perturbed Baseline run, so they share
+    its violations and fault counts. ``cleans`` is an optional sequence
+    (aligned with ``configs``) of unperturbed
+    :class:`~repro.experiments.runner.ExperimentResult` references for
+    the energy/time deltas.
+    """
+    for config in configs:
+        if config not in CONFIG_NAMES:
+            raise ConfigError(
+                "unknown configuration {!r}; choose from {}".format(
+                    config, ", ".join(CONFIG_NAMES)
+                )
+            )
+    audited = {}
+    reports = []
+    for config, clean in zip(configs, cleans or (None,) * len(configs)):
+        live = _simulation_of(config)
+        if live not in audited:
+            tracer = Tracer()
+            run = _run_live(
+                app, live, threads, seed, machine_config,
+                _overrides_for(live), telemetry=tracer, fault_plan=plan,
+            )
+            violations = InvariantChecker(deadline_ns=deadline_ns).audit(
+                tracer.events, accounts=run.accounts, tracer=tracer,
+            )
+            counters = tracer.metrics.snapshot().get("counters", {})
+            audited[live] = (run, tuple(violations), counters)
+        run, violations, counters = audited[live]
+        if config in DERIVED_CONFIGS:
+            result = _derived_result(app, config, run)
+        else:
+            result = _live_result(app, config, run)
+        report = ChaosCellReport(
+            app=app,
+            config=config,
+            plan=plan,
+            threads=threads,
+            violations=violations,
+            injected={
+                kind: counters["fault.kind[{}]".format(kind)]
+                for kind in FAULT_KINDS
+                if "fault.kind[{}]".format(kind) in counters
+            },
+            late_wakes=counters.get("wake.late", 0),
+            releases=counters.get("barrier.releases", 0),
+            execution_time_ns=result.execution_time_ns,
+            energy_joules=result.energy_joules,
+        )
+        if clean is not None:
+            report.energy_delta = result.energy_joules - clean.energy_joules
+            report.time_delta_ns = (
+                result.execution_time_ns - clean.execution_time_ns
+            )
+        reports.append(report)
+    return reports
+
+
 def run_chaos_cell(
     app, config, plan, threads=16, seed=DEFAULT_SEED,
     machine_config=None, deadline_ns=DEFAULT_DEADLINE_NS, clean=None,
 ):
     """Run and audit one chaos cell; returns a :class:`ChaosCellReport`.
 
-    ``clean`` is an optional :class:`~repro.experiments.runner.
-    ExperimentResult` of the same cell without a plan, used for the
-    energy/time deltas.
+    The one-config case of :func:`_run_chaos_family`; ``clean`` is its
+    optional unperturbed reference result.
     """
-    if config not in CONFIG_NAMES:
-        raise ConfigError(
-            "unknown configuration {!r}; choose from {}".format(
-                config, ", ".join(CONFIG_NAMES)
-            )
-        )
-    tracer = Tracer()
-    overrides = _overrides_for(config)
-    if config in LIVE_CONFIGS:
-        run = _run_live(
-            app, config, threads, seed, machine_config, overrides,
-            telemetry=tracer, fault_plan=plan,
-        )
-        result = _live_result(app, config, run)
-    else:
-        run = _run_live(
-            app, "baseline", threads, seed, machine_config, {},
-            telemetry=tracer, fault_plan=plan,
-        )
-        result = _derived_result(app, config, run)
-    checker = InvariantChecker(deadline_ns=deadline_ns)
-    violations = checker.audit(
-        tracer.events, accounts=run.accounts, tracer=tracer,
-    )
-    counters = tracer.metrics.snapshot().get("counters", {})
-    injected = {
-        kind: counters["fault.kind[{}]".format(kind)]
-        for kind in FAULT_KINDS
-        if "fault.kind[{}]".format(kind) in counters
-    }
-    report = ChaosCellReport(
-        app=app,
-        config=config,
-        plan=plan,
-        threads=threads,
-        violations=tuple(violations),
-        injected=injected,
-        late_wakes=counters.get("wake.late", 0),
-        releases=counters.get("barrier.releases", 0),
-        execution_time_ns=result.execution_time_ns,
-        energy_joules=result.energy_joules,
-    )
-    if clean is not None:
-        report.energy_delta = result.energy_joules - clean.energy_joules
-        report.time_delta_ns = (
-            result.execution_time_ns - clean.execution_time_ns
-        )
-    return report
+    return _run_chaos_family(
+        app, (config,), plan, threads=threads, seed=seed,
+        machine_config=machine_config, deadline_ns=deadline_ns,
+        cleans=(clean,),
+    )[0]
 
 
-def _clean_result(app, config, threads, seed, machine_config):
-    """The unperturbed reference cell (same degradation overrides)."""
-    if config in LIVE_CONFIGS:
-        run = _run_live(
-            app, config, threads, seed, machine_config,
-            _overrides_for(config),
+def _clean_results(app, configs, threads, seed, machine_config):
+    """Unperturbed references for one family (same degradation
+    overrides): one Baseline run serves ``baseline`` and the oracles."""
+    if _simulation_of(configs[0]) == "baseline":
+        return run_family(
+            app, configs, threads=threads, seed=seed,
+            machine_config=machine_config,
         )
-        return _live_result(app, config, run)
-    run = _run_live(app, "baseline", threads, seed, machine_config, {})
-    return _derived_result(app, config, run)
+    return [
+        run_experiment(
+            app, config, threads=threads, seed=seed,
+            machine_config=machine_config, **_overrides_for(config)
+        )
+        for config in configs
+    ]
 
 
 def run_chaos_campaign(
@@ -217,8 +257,10 @@ def run_chaos_campaign(
     fail_fast=False,
 ):
     """Sweep plans × apps × configs; returns a
-    :class:`ChaosCampaignReport`. Clean reference runs are shared per
-    (app, config).
+    :class:`ChaosCampaignReport` in app → config → plan order. Each
+    (app, plan) simulation serves every cell of its family (see
+    :func:`_run_chaos_family`), and each clean reference run serves its
+    family for every plan.
 
     Crash safety: with a ``journal``
     (:class:`~repro.experiments.journal.RunJournal`), every finished
@@ -252,6 +294,7 @@ def run_chaos_campaign(
         report.run_id = journal.run_id
     state = journal.replay() if journal is not None else None
     clean_cache = {}
+    shared = {}
 
     def preempted():
         return preemption is not None and bool(
@@ -260,20 +303,37 @@ def run_chaos_campaign(
 
     def clean_for(app, config):
         key = (app, config)
+        if key not in clean_cache and journal is not None:
+            restored = journal.load_payload("clean/{}/{}".format(app, config))
+            if restored is not None:
+                clean_cache[key] = restored
         if key not in clean_cache:
-            cell_id = "clean/{}/{}".format(app, config)
-            clean = (
-                journal.load_payload(cell_id)
-                if journal is not None else None
+            members = _family_of(config, configs)
+            results = _clean_results(
+                app, members, threads, seed, machine_config
             )
-            if clean is None:
-                clean = _clean_result(
-                    app, config, threads, seed, machine_config
-                )
+            for member, clean in zip(members, results):
+                if (app, member) in clean_cache:
+                    continue
+                clean_cache[(app, member)] = clean
                 if journal is not None:
-                    journal.store_payload(cell_id, clean)
-            clean_cache[key] = clean
+                    journal.store_payload(
+                        "clean/{}/{}".format(app, member), clean
+                    )
         return clean_cache[key]
+
+    def chaos_cell(app, config, plan_index, plan):
+        key = (app, config, plan_index)
+        if key not in shared:
+            members = _family_of(config, configs)
+            reports = _run_chaos_family(
+                app, members, plan, threads=threads, seed=seed,
+                machine_config=machine_config, deadline_ns=deadline_ns,
+                cleans=[clean_for(app, member) for member in members],
+            )
+            for member, cell in zip(members, reports):
+                shared[(app, member, plan_index)] = cell
+        return shared.pop(key)
 
     def mark_interrupted(reason):
         report.interrupted = True
@@ -303,12 +363,7 @@ def run_chaos_campaign(
                             continue
                     if journal is not None:
                         journal.record_dispatched(cell_id)
-                    cell = run_chaos_cell(
-                        app, config, plan, threads=threads, seed=seed,
-                        machine_config=machine_config,
-                        deadline_ns=deadline_ns,
-                        clean=clean_for(app, config),
-                    )
+                    cell = chaos_cell(app, config, plan_index, plan)
                     if journal is not None:
                         journal.store_payload(cell_id, cell)
                         journal.record_completed(cell_id)

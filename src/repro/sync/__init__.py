@@ -22,8 +22,9 @@ from repro.sync.oracle import oracle_rerun
 from repro.sync.spin_then_sleep import SpinThenSleepBarrier
 from repro.sync.thrifty import ThriftyBarrier
 from repro.sync.thrifty_lock import ThriftyLock
-from repro.sync.trace import BarrierTrace, InstanceRecord, SleepRecord
+from repro.sync.trace import BarrierTrace, InstanceRecord
 from repro.sync.yielding import YieldingBarrier
+from repro.telemetry.events import SleepRecord
 
 __all__ = [
     "BarrierBase",

@@ -11,7 +11,7 @@ from repro.energy.accounting import Category
 from repro.errors import ConfigError
 from repro.sim.events import AnyOf
 from repro.sync.barrier import BarrierBase
-from repro.sync.trace import SleepRecord
+from repro.telemetry.events import SleepRecord
 
 
 class SpinThenSleepBarrier(BarrierBase):

@@ -35,7 +35,6 @@ from repro.errors import ConfigError
 from repro.predict.thresholds import is_overpredicted, should_update_predictor
 from repro.sim.events import AnyOf
 from repro.sync.barrier import BarrierBase
-from repro.sync.trace import SleepRecord
 from repro.telemetry.events import (
     LateWake,
     PredictorDisable,
@@ -43,6 +42,7 @@ from repro.telemetry.events import (
     PredictorHit,
     PredictorReenable,
     PredictorTrain,
+    SleepRecord,
     WakeUp,
 )
 

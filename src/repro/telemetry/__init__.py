@@ -30,10 +30,6 @@ from repro.telemetry.events import (
     BarrierCheckIn,
     BarrierDepart,
     BarrierRelease,
-    CampaignCancelled,
-    CampaignFinished,
-    CampaignSubmitted,
-    CellResolved,
     CheckpointWritten,
     FaultInjected,
     InvariantCheck,
@@ -48,8 +44,6 @@ from repro.telemetry.events import (
     SleepExit,
     SleepRecord,
     WakeUp,
-    WorkerJoined,
-    WorkerLeft,
     WorkerStalled,
 )
 from repro.telemetry.metrics import Counter, Gauge, Histogram, MetricsRegistry
@@ -65,10 +59,6 @@ __all__ = [
     "BarrierCheckIn",
     "BarrierDepart",
     "BarrierRelease",
-    "CampaignCancelled",
-    "CampaignFinished",
-    "CampaignSubmitted",
-    "CellResolved",
     "CheckpointWritten",
     "Counter",
     "FaultInjected",
@@ -92,7 +82,5 @@ __all__ = [
     "TelemetrySnapshot",
     "Tracer",
     "WakeUp",
-    "WorkerJoined",
-    "WorkerLeft",
     "WorkerStalled",
 ]

@@ -363,127 +363,6 @@ class ResumeStarted:
 
 
 @dataclass(frozen=True)
-class CampaignSubmitted:
-    """The campaign service accepted a submission.
-
-    A wall-clock (engine-level) event like :class:`CheckpointWritten`:
-    ``ts`` is 0, ordering is stream position. ``cells`` is the total
-    cell count, ``cached`` how many were served from the result cache
-    immediately, ``deduped`` how many attached to a cell already
-    queued/running for an overlapping campaign.
-    """
-
-    kind: ClassVar[str] = "serve.campaign_submitted"
-
-    ts: int
-    run_id: str
-    cells: int
-    cached: int
-    deduped: int
-
-    def record(self, metrics):
-        metrics.counter("serve.campaigns_submitted").inc()
-        metrics.counter("serve.cells_submitted").inc(self.cells)
-        metrics.counter("serve.cells_cached").inc(self.cached)
-        metrics.counter("serve.cells_deduped").inc(self.deduped)
-
-
-@dataclass(frozen=True)
-class CampaignFinished:
-    """Every cell of a served campaign resolved (result or failure)."""
-
-    kind: ClassVar[str] = "serve.campaign_finished"
-
-    ts: int
-    run_id: str
-    completed: int
-    failed: int
-
-    def record(self, metrics):
-        metrics.counter("serve.campaigns_finished").inc()
-        if self.failed:
-            metrics.counter("serve.cell_failures").inc(self.failed)
-
-
-@dataclass(frozen=True)
-class CampaignCancelled:
-    """A served campaign was cancelled via the API; its pending cells
-    were withdrawn (unless another campaign still needs them)."""
-
-    kind: ClassVar[str] = "serve.campaign_cancelled"
-
-    ts: int
-    run_id: str
-    completed: int
-    total: int
-
-    def record(self, metrics):
-        metrics.counter("serve.campaigns_cancelled").inc()
-
-
-@dataclass(frozen=True)
-class CellResolved:
-    """One cell of a served campaign produced its result.
-
-    ``cached`` marks results served from the content-addressed cache
-    (including dedup hits resolved by an overlapping campaign's
-    execution); ``failed`` marks a structured failure record.
-    """
-
-    kind: ClassVar[str] = "serve.cell_resolved"
-
-    ts: int
-    run_id: str
-    cell: str
-    index: int
-    cached: bool
-    failed: bool
-
-    def record(self, metrics):
-        metrics.counter("serve.cells_resolved").inc()
-        if self.cached:
-            metrics.counter("serve.cells_from_cache").inc()
-        if self.failed:
-            metrics.counter("serve.cells_failed").inc()
-
-
-@dataclass(frozen=True)
-class WorkerJoined:
-    """A worker process joined the serve pool (startup or hotplug)."""
-
-    kind: ClassVar[str] = "serve.worker_joined"
-
-    ts: int
-    worker: int
-    pool_size: int
-
-    def record(self, metrics):
-        metrics.counter("serve.workers_joined").inc()
-
-
-@dataclass(frozen=True)
-class WorkerLeft:
-    """A worker process left the serve pool.
-
-    ``reason`` is ``"retired"`` (shrunk below it), ``"crashed"`` (died
-    mid-cell), or ``"stalled"`` (killed by the heartbeat watchdog).
-    """
-
-    kind: ClassVar[str] = "serve.worker_left"
-
-    ts: int
-    worker: int
-    pool_size: int
-    reason: str
-
-    def record(self, metrics):
-        metrics.counter("serve.workers_left").inc()
-        metrics.counter(
-            "serve.worker_left[{}]".format(self.reason)
-        ).inc()
-
-
-@dataclass(frozen=True)
 class StorageFault:
     """A durable-storage operation failed and was degraded, not raised.
 
@@ -527,11 +406,5 @@ EVENT_TYPES = (
     CheckpointWritten,
     WorkerStalled,
     ResumeStarted,
-    CampaignSubmitted,
-    CampaignFinished,
-    CampaignCancelled,
-    CellResolved,
-    WorkerJoined,
-    WorkerLeft,
     StorageFault,
 )

@@ -21,10 +21,6 @@ import json
 from repro.telemetry.events import (
     BarrierDepart,
     BarrierRelease,
-    CampaignCancelled,
-    CampaignFinished,
-    CampaignSubmitted,
-    CellResolved,
     CheckpointWritten,
     FaultInjected,
     InvariantCheck,
@@ -38,8 +34,6 @@ from repro.telemetry.events import (
     SleepExit,
     StorageFault,
     WakeUp,
-    WorkerJoined,
-    WorkerLeft,
     WorkerStalled,
 )
 
@@ -186,46 +180,6 @@ def chrome_trace_events(events, process_name="repro"):
                     "completed": event.completed,
                     "remaining": event.remaining,
                 },
-            ))
-        elif isinstance(event, CampaignSubmitted):
-            rows.append(_instant(
-                "campaign {}".format(event.run_id), "serve", 0, event.ts,
-                {
-                    "cells": event.cells,
-                    "cached": event.cached,
-                    "deduped": event.deduped,
-                },
-            ))
-        elif isinstance(event, CampaignFinished):
-            rows.append(_instant(
-                "finished {}".format(event.run_id), "serve", 0, event.ts,
-                {"completed": event.completed, "failed": event.failed},
-            ))
-        elif isinstance(event, CampaignCancelled):
-            rows.append(_instant(
-                "cancelled {}".format(event.run_id), "serve", 0, event.ts,
-                {"completed": event.completed, "total": event.total},
-            ))
-        elif isinstance(event, CellResolved):
-            rows.append(_instant(
-                "cell {}".format(event.cell), "serve", 0, event.ts,
-                {
-                    "run_id": event.run_id,
-                    "index": event.index,
-                    "cached": event.cached,
-                    "failed": event.failed,
-                },
-            ))
-        elif isinstance(event, WorkerJoined):
-            rows.append(_instant(
-                "worker joined", "serve", 0, event.ts,
-                {"worker": event.worker, "pool_size": event.pool_size},
-            ))
-        elif isinstance(event, WorkerLeft):
-            rows.append(_instant(
-                "worker left:{}".format(event.reason), "serve", 0,
-                event.ts,
-                {"worker": event.worker, "pool_size": event.pool_size},
             ))
         elif isinstance(event, StorageFault):
             rows.append(_instant(

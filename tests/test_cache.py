@@ -382,79 +382,8 @@ class TestResultCacheStore:
         cache.get("0" * 64)
         assert cache.stats() == {
             "hits": 0, "misses": 1, "stores": 0, "errors": 0,
-            "migrations": 0, "write_errors": 0,
+            "write_errors": 0,
         }
-
-
-class TestLegacyFlatLayout:
-    """The pre-shard flat layout stays readable and migrates away."""
-
-    def _plant_flat(self, cache, key, value):
-        import pickle
-
-        cache.cache_dir.mkdir(parents=True, exist_ok=True)
-        cache._legacy_path(key).write_bytes(pickle.dumps(value))
-
-    def test_flat_entry_is_a_hit_and_migrates(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        key = _key_for(MachineConfig())
-        self._plant_flat(cache, key, "legacy")
-        assert cache.layout() == {"sharded": 0, "flat": 1}
-        assert cache.get(key) == "legacy"
-        assert cache.hits == 1
-        assert cache.migrations == 1
-        # The entry now lives in its shard; the flat copy is gone.
-        assert cache.layout() == {"sharded": 1, "flat": 0}
-        assert cache._entry_path(key).exists()
-        assert not cache._legacy_path(key).exists()
-        assert cache.get(key) == "legacy"
-
-    def test_contains_and_len_see_flat_entries(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        key = _key_for(MachineConfig())
-        self._plant_flat(cache, key, 1)
-        assert key in cache
-        assert len(cache) == 1
-
-    def test_bulk_migrate(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        keys = [_key_for(MachineConfig(), seed=seed) for seed in range(3)]
-        for index, key in enumerate(keys):
-            self._plant_flat(cache, key, index)
-        assert cache.migrate() == 3
-        assert cache.layout() == {"sharded": 3, "flat": 0}
-        for index, key in enumerate(keys):
-            assert cache.get(key) == index
-        assert cache.migrate() == 0  # idempotent
-
-    def test_corrupt_flat_entry_is_a_miss_and_evicted(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        key = _key_for(MachineConfig())
-        cache.cache_dir.mkdir(parents=True, exist_ok=True)
-        cache._legacy_path(key).write_bytes(b"\x00torn legacy")
-        assert cache.get(key) is None
-        assert cache.errors == 1
-        assert not cache._legacy_path(key).exists()
-
-    def test_put_prefers_shard_over_stale_flat(self, tmp_path):
-        # After an overwrite, the sharded copy is authoritative even if
-        # a stale flat copy survives (shard is probed first).
-        cache = ResultCache(tmp_path)
-        key = _key_for(MachineConfig())
-        self._plant_flat(cache, key, "old")
-        cache.put(key, "new")
-        assert cache.get(key) == "new"
-
-    def test_clear_and_prune_cover_both_layouts(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        flat_key = _key_for(MachineConfig(), seed=1)
-        shard_key = _key_for(MachineConfig(), seed=2)
-        self._plant_flat(cache, flat_key, "flat")
-        cache.put(shard_key, "shard")
-        assert len(cache) == 2
-        assert cache.prune(max_entries=2) == 0
-        cache.clear()
-        assert len(cache) == 0
 
 
 class TestCoercionAndLocation:

@@ -4,8 +4,7 @@ The cache's correctness story under concurrency is tmp-file +
 ``os.replace``: a reader sees either a complete old entry, a complete
 new entry, or a miss — never a torn pickle. These tests hammer one
 cache directory from multiple fork processes simultaneously and assert
-exactly that, for the sharded layout, the legacy flat layout, and the
-flat→sharded migration races the serve dedup path exercises.
+exactly that.
 
 Every stored value is self-validating (``payload`` must equal a
 function of ``n``), so a torn or interleaved read cannot sneak through
@@ -13,7 +12,7 @@ as a false pass.
 """
 
 import multiprocessing
-import pickle
+import time
 
 import pytest
 
@@ -54,6 +53,12 @@ def _writer(cache_dir, rounds, out):
 
 def _reader(cache_dir, rounds, out):
     cache = ResultCache(cache_dir)
+    # A miss is one failed open, so the reader could finish every round
+    # before a forked writer lands its first entry; start the rounds
+    # once the writers are under way, so they overlap the writes.
+    deadline = time.monotonic() + 30.0
+    while cache.get(_KEYS[0]) is None and time.monotonic() < deadline:
+        time.sleep(0.001)
     torn = 0
     hits = 0
     for _ in range(rounds):
@@ -95,7 +100,6 @@ class TestConcurrentSharded:
         cache = ResultCache(cache_dir)
         for key in _KEYS:
             assert _consistent(key, cache.get(key))
-        assert cache.layout()["flat"] == 0
 
     def test_no_tmp_litter_after_the_storm(self, tmp_path):
         ctx = _ctx()
@@ -109,79 +113,3 @@ class TestConcurrentSharded:
             out.get()
         leftovers = list((tmp_path / "cache").rglob("*.tmp"))
         assert leftovers == []
-
-
-def _plant_flat(cache_dir, key, n):
-    """Write a legacy flat-layout entry the way the old cache did."""
-    path = cache_dir / (key + ".pkl")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
-        pickle.dump(_value(key, n), fh)
-
-
-def _migrating_reader(cache_dir, rounds, out):
-    """Reads that trigger flat→sharded migration, racing its peers."""
-    cache = ResultCache(cache_dir)
-    misses = 0
-    torn = 0
-    for _ in range(rounds):
-        for key in _KEYS:
-            value = cache.get(key)
-            if value is None:
-                misses += 1
-            elif not _consistent(key, value):
-                torn += 1
-    out.put(("migrator", misses, torn, cache.errors))
-
-
-class TestConcurrentLegacyFlat:
-    def test_racing_migrations_lose_no_entries(self, tmp_path):
-        cache_dir = tmp_path / "cache"
-        for key in _KEYS:
-            _plant_flat(cache_dir, key, 7)
-        ctx = _ctx()
-        out = ctx.SimpleQueue()
-        _run([
-            ctx.Process(
-                target=_migrating_reader, args=(str(cache_dir), 50, out),
-            )
-            for _ in range(3)
-        ])
-        for _ in range(3):
-            _, misses, torn, errors = out.get()
-            # A planted entry exists in one layout or the other at
-            # every instant: migration must never surface a miss or a
-            # torn value.
-            assert misses == 0
-            assert torn == 0
-            assert errors == 0
-        cache = ResultCache(str(cache_dir))
-        assert cache.layout() == {"sharded": len(_KEYS), "flat": 0}
-        for key in _KEYS:
-            assert _consistent(key, cache.get(key))
-
-    def test_writer_racing_flat_readers(self, tmp_path):
-        # Writers put straight to the shard while readers are still
-        # migrating flat entries for the same keys: last write wins,
-        # reads stay consistent throughout.
-        cache_dir = tmp_path / "cache"
-        for key in _KEYS:
-            _plant_flat(cache_dir, key, 3)
-        ctx = _ctx()
-        out = ctx.SimpleQueue()
-        _run([
-            ctx.Process(
-                target=_writer, args=(str(cache_dir), 40, out),
-            ),
-            ctx.Process(
-                target=_migrating_reader, args=(str(cache_dir), 80, out),
-            ),
-        ])
-        reports = [out.get() for _ in range(2)]
-        migrator = next(r for r in reports if r[0] == "migrator")
-        _, misses, torn, errors = migrator
-        assert misses == 0
-        assert torn == 0
-        assert errors == 0
-        cache = ResultCache(str(cache_dir))
-        assert cache.layout()["flat"] == 0

@@ -274,50 +274,18 @@ class TestChaosResume:
         assert table(first) == table(second)
 
 
-class TestServeParser:
-    def test_serve_commands_are_known(self):
-        for command in ("serve", "submit", "status", "results", "cancel",
-                        "shutdown", "cache"):
-            args = build_parser().parse_args([command])
-            assert args.artifact == command
-
+class TestCacheCommand:
     def test_action_positional(self):
-        args = build_parser().parse_args(["status", "c123"])
-        assert args.action == "c123"
         args = build_parser().parse_args(["cache", "prune",
                                           "--max-entries", "10"])
+        assert args.artifact == "cache"
         assert args.action == "prune"
         assert args.max_entries == 10
 
-    def test_serve_flags(self):
-        args = build_parser().parse_args(
-            ["serve", "--port", "0", "--pool", "4", "--host", "0.0.0.0"]
-        )
-        assert args.port == 0
-        assert args.pool == 4
-        assert args.host == "0.0.0.0"
-
-
-class TestServeCommands:
-    def test_serve_refuses_no_cache(self, capsys):
-        assert main(["serve", "--no-cache"]) == 2
-        assert "result cache" in capsys.readouterr().err
-
-    def test_client_without_server_exits_1(self, capsys):
-        assert main(["status", "c1", "--port", "1"]) == 1
-        assert "cannot reach" in capsys.readouterr().err
-
-    def test_status_needs_an_id(self, capsys):
-        assert main(["status", "--port", "1"]) == 2
-        assert "campaign id" in capsys.readouterr().err
-
-
-class TestCacheCommand:
     def test_stats_default_action(self, capsys, tmp_path):
         assert main(["cache", "--cache-dir", str(tmp_path)]) == 0
         stats = json.loads(capsys.readouterr().out)
         assert stats["entries"] == 0
-        assert stats["layout"] == {"sharded": 0, "flat": 0}
         assert stats["cache_dir"] == str(tmp_path)
 
     def test_prune_and_clear(self, capsys, tmp_path):

@@ -343,8 +343,6 @@ def _append_record(journal, kind, index):
         journal.append("checkpoint", completed=index, total=8)
     elif kind == "interrupted":
         journal.record_interrupted("SIGTERM", completed=index, total=8)
-    elif kind == "cancelled":
-        journal.record_cancelled("operator", completed=index, total=8)
     elif kind == "resumed":
         journal.record_resumed(completed=index, remaining=8 - index)
     elif kind == "finished":
@@ -361,7 +359,6 @@ def _state_key(state):
         state.dispatches,
         state.stalls,
         state.interruptions,
-        state.cancellations,
         state.resumes,
         state.checkpoints,
         state.finished,

@@ -22,6 +22,14 @@ from repro.experiments.parallel import (
     ExperimentEngine,
 )
 from repro.experiments.runner import run_experiment, run_matrix
+from repro.faults.chaos import (
+    ChaosCampaignReport,
+    _overrides_for,
+    chaos_report_as_dict,
+    run_chaos_campaign,
+    run_chaos_cell,
+    sample_plans,
+)
 from repro.workloads.generator import WorkloadRunner
 
 APPS = ("fmm", "radix")
@@ -225,3 +233,31 @@ class TestPreemption:
         matrix = rerun.run_matrix(APPS, threads=THREADS, seed=1)
         assert rerun.stats.cache_hits == done
         assert matrix_to_json(matrix) == reference
+
+
+class TestChaosSharing:
+    """Chaos campaigns share simulations the same way: one perturbed
+    Baseline per (app, plan) and one clean Baseline per app serve
+    ``baseline``, ``oracle-halt`` and ``ideal``."""
+
+    @pytest.mark.parametrize("plans, runs", ((1, 6), (3, 12)))
+    def test_live_runs_per_campaign(self, live_runs, plans, runs):
+        run_chaos_campaign(
+            sample_plans(plans, seed=7), apps=("fmm",), threads=THREADS,
+        )
+        assert live_runs() == runs
+
+    def test_campaign_equals_unshared_cells(self):
+        plans = sample_plans(2, seed=7)
+        campaign = run_chaos_campaign(plans, apps=APPS, threads=THREADS)
+        alone = ChaosCampaignReport(planned=campaign.planned)
+        for app in APPS:
+            for config in CONFIG_NAMES:
+                clean = run_experiment(
+                    app, config, threads=THREADS, **_overrides_for(config)
+                )
+                for plan in plans:
+                    alone.cells.append(run_chaos_cell(
+                        app, config, plan, threads=THREADS, clean=clean,
+                    ))
+        assert chaos_report_as_dict(campaign) == chaos_report_as_dict(alone)
