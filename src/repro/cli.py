@@ -33,16 +33,16 @@ exported as a replayable artifact plus a Perfetto witness trace.
 
 Crash safety::
 
-    repro figure5 --run-id nightly            # journaled sweep
-    repro figure5 --resume nightly            # continue after a kill
-    repro chaos --run-id soak --plans 25
-    repro chaos --resume soak
+    repro figure5 --cache-dir runs/nightly    # killed part-way...
+    repro figure5 --cache-dir runs/nightly    # ...the same command resumes
+    repro fsck --cache-dir runs/nightly --repair
 
-``--run-id`` journals the campaign (durable per-cell records under
-``$REPRO_JOURNAL_DIR`` or ``<cache dir>/runs``); after a SIGTERM/
-SIGINT, OOM kill, or crash, ``--resume`` reconstructs the work queue,
-skips every finished cell, and produces output byte-identical to an
-uninterrupted run.
+The content-addressed result cache is the one persistence path. Every
+finished cell (a matrix result, or an audited ``chaos`` report) is
+stored as it completes, so after a SIGTERM/SIGINT, OOM kill, or crash,
+re-running the same command on the same cache serves every finished
+cell and produces output byte-identical to an uninterrupted run.
+``fsck`` audits that cache offline and repairs what a crash left.
 
 Exit codes
 ----------
@@ -56,7 +56,9 @@ Exit codes
 * ``2`` (:data:`EXIT_USAGE`) — bad invocation (unknown configuration,
   argparse errors);
 * ``3`` (:data:`EXIT_RESUMABLE`) — gracefully preempted; everything
-  finished so far is journaled/cached and ``--resume`` continues it.
+  finished so far is in the result cache and re-running the same
+  command continues it. Under ``--no-cache`` nothing was kept and a
+  re-run starts over.
 """
 
 import argparse
@@ -113,12 +115,11 @@ def build_parser():
              "'chaos' to run a seeded fault-injection campaign, "
              "'check' to model-check barrier/sleep protocols over "
              "alternative event orderings, 'cache' maintenance, or "
-             "'fsck' to audit/repair journal and cache trees",
+             "'fsck' to audit/repair the result cache",
     )
     parser.add_argument(
         "action", nargs="?", default=None, metavar="ARG",
-        help="the cache action (stats / prune / clear), or the run id "
-             "for fsck (default: every journal)",
+        help="the cache action (stats / prune / clear)",
     )
     parser.add_argument(
         "--app", default="fmm", metavar="APP",
@@ -240,29 +241,13 @@ def build_parser():
              "the recorded violations reproduce exactly",
     )
     parser.add_argument(
-        "--run-id", metavar="ID", default=None,
-        help="journal this campaign under ID (durable per-cell records; "
-             "a killed run becomes resumable)",
-    )
-    parser.add_argument(
-        "--resume", metavar="ID", default=None,
-        help="resume the journaled campaign ID: skip finished cells, "
-             "produce output byte-identical to an uninterrupted run",
-    )
-    parser.add_argument(
-        "--journal-dir", metavar="PATH", default=None,
-        help="run-journal root (default: $REPRO_JOURNAL_DIR or "
-             "<cache dir>/runs)",
-    )
-    parser.add_argument(
         "--max-entries", type=int, default=None, metavar="N",
         help="entry budget for 'cache prune'",
     )
     parser.add_argument(
         "--repair", action="store_true",
-        help="fsck: apply the safe repairs (truncate torn journal "
-             "tails, quarantine corrupt payloads, sweep stale tmp "
-             "files) instead of only reporting",
+        help="fsck: apply the safe repairs (quarantine corrupt cache "
+             "entries, sweep stale tmp files) instead of only reporting",
     )
     return parser
 
@@ -281,38 +266,13 @@ def _cache_argument(args):
     return True
 
 
-def _journal_argument(args, spec, total):
-    """Build the run journal the flags ask for (or ``None``).
-
-    ``--resume`` opens an existing journal, verifies the invocation
-    describes the *same* campaign (spec hash), and appends a
-    ``resumed`` record; ``--run-id`` creates a fresh one. Returns
-    ``(journal, resumed_count)``.
-    """
-    from repro.experiments.journal import RunJournal
-
-    if args.resume:
-        journal = RunJournal.open(args.resume, root=args.journal_dir)
-        journal.verify_spec(spec)
-        completed = len(journal.replay().completed)
-        journal.record_resumed(
-            completed=completed, remaining=max(0, total - completed),
-        )
-        return journal, completed
-    if args.run_id:
-        return (
-            RunJournal.create(spec, run_id=args.run_id,
-                              root=args.journal_dir),
-            0,
-        )
-    return None, 0
-
-
-def _resume_hint(args, run_id):
-    hint = "--resume {}".format(run_id)
-    if args.journal_dir:
-        hint += " --journal-dir {}".format(args.journal_dir)
-    return hint
+def _interrupt_hint(args):
+    """What a preempted campaign kept, and how to continue it."""
+    if args.no_cache:
+        return ("nothing was kept (--no-cache); re-running the same "
+                "command starts over")
+    return ("everything completed is in the result cache; re-run the "
+            "same command to resume")
 
 
 def _run_cell_command(args):
@@ -377,13 +337,12 @@ def _run_cell_command(args):
 def _run_chaos_command(args):
     """The ``chaos`` command: a seeded fault campaign with auditing.
 
-    Journaled (``--run-id``/``--resume``) and preemption-aware: a
-    SIGTERM/SIGINT reports the partial campaign instead of discarding
-    it and exits :data:`EXIT_RESUMABLE`.
+    Cached like the matrix commands (``--cache-dir``/``--no-cache``)
+    and preemption-aware: a SIGTERM/SIGINT reports the partial campaign
+    instead of discarding it and exits :data:`EXIT_RESUMABLE`.
     """
     import json
 
-    from repro import __version__
     from repro.faults.chaos import (
         chaos_report_as_dict,
         render_chaos_report,
@@ -396,19 +355,11 @@ def _run_chaos_command(args):
     apps = tuple(args.apps or ("fmm",))
     configs = tuple(args.configs or CONFIG_NAMES)
     plans = sample_plans(args.plans, seed=args.seed, intensity=args.intensity)
-    spec = {
-        "kind": "chaos", "apps": list(apps), "configs": list(configs),
-        "threads": args.threads, "seed": args.seed, "plans": args.plans,
-        "intensity": args.intensity, "version": __version__,
-    }
-    journal, _resumed = _journal_argument(
-        args, spec, total=len(apps) * len(configs) * args.plans,
-    )
     with PreemptionGuard() as guard:
         campaign = run_chaos_campaign(
             plans, apps=apps, configs=configs,
             threads=args.threads, seed=args.seed,
-            journal=journal, preemption=guard,
+            cache=_cache_argument(args), preemption=guard,
             fail_fast=args.fail_fast,
         )
     _emit(render_chaos_report(campaign))
@@ -422,13 +373,7 @@ def _run_chaos_command(args):
         )
         print("chaos report written to {}".format(args.json))
     if campaign.interrupted:
-        if campaign.run_id:
-            print("resume with: repro chaos {}".format(
-                _resume_hint(args, campaign.run_id)
-            ))
-        else:
-            print("re-run with --run-id to make interrupted campaigns "
-                  "resumable")
+        print(_interrupt_hint(args))
         return EXIT_RESUMABLE
     return EXIT_OK if campaign.ok else EXIT_VIOLATION
 
@@ -565,23 +510,24 @@ def _run_check_command(args):
 
 
 def _run_fsck_command(args):
-    """``repro fsck [RUN_ID] [--repair]``: audit journals and cache.
+    """``repro fsck [--cache-dir PATH] [--repair]``: audit the cache.
 
-    Exit status: 0 when the tree is clean (or every issue was
-    repaired), 1 when issues remain — unrepaired damage without
-    ``--repair``, or unrepairable loss (a corrupt ``spec.json``) with
-    it.
+    Audits the result cache named by ``--cache-dir`` (default: the
+    default cache). Exit status: 0 when the cache is clean (or every
+    issue was repaired), 1 when damage remains unrepaired.
     """
-    from repro.experiments.fsck import fsck_tree, render_fsck_report
+    from repro.experiments.cache import default_cache_dir
+    from repro.experiments.fsck import fsck_cache, render_fsck_report
 
-    cache_dir = None
-    if not args.no_cache:
-        from repro.experiments.cache import default_cache_dir
-
-        cache_dir = args.cache_dir or default_cache_dir()
-    report = fsck_tree(
-        journal_root=args.journal_dir, run_id=args.action,
-        cache_dir=cache_dir, repair=args.repair,
+    if args.no_cache:
+        return _usage("repro fsck audits a cache; drop --no-cache")
+    if args.action is not None:
+        return _usage(
+            "repro fsck takes no argument; name the cache with "
+            "--cache-dir"
+        )
+    report = fsck_cache(
+        args.cache_dir or default_cache_dir(), repair=args.repair,
     )
     _emit(render_fsck_report(report))
     return EXIT_OK if report.ok else EXIT_VIOLATION
@@ -653,57 +599,28 @@ def main(argv=None):
     matrix = None
     engine_metrics = MetricsRegistry()
     if needs_matrix:
-        from repro import __version__
-        from repro.experiments.configs import CONFIG_NAMES
-
-        apps = tuple(args.apps or SPLASH2_NAMES)
-        spec = {
-            "kind": "matrix", "apps": list(apps),
-            "configs": list(CONFIG_NAMES), "threads": args.threads,
-            "seed": args.seed, "version": __version__,
-        }
-        journal, resumed = _journal_argument(
-            args, spec, total=len(apps) * len(CONFIG_NAMES),
-        )
-        if args.resume:
-            from repro.telemetry.events import ResumeStarted
-
-            ResumeStarted(
-                ts=0, run_id=journal.run_id, completed=resumed,
-                remaining=len(apps) * len(CONFIG_NAMES) - resumed,
-            ).record(engine_metrics)
         try:
             with PreemptionGuard() as guard:
                 matrix = run_matrix(
-                    apps=apps, threads=args.threads, seed=args.seed,
+                    apps=tuple(args.apps or SPLASH2_NAMES),
+                    threads=args.threads, seed=args.seed,
                     workers=args.workers or None,
                     cache=_cache_argument(args),
                     metrics=engine_metrics,
-                    journal=journal,
                     preemption=guard,
                 )
         except CampaignInterrupted as exc:
             print(
-                "preempted ({} of {} cells finished); everything "
-                "completed is {}".format(
-                    exc.completed, exc.total,
-                    "journaled and cached" if journal is not None
-                    else "in the result cache",
+                "preempted ({} of {} cells finished); {}".format(
+                    exc.completed, exc.total, _interrupt_hint(args),
                 ),
                 file=sys.stderr,
             )
-            if exc.run_id:
-                print(
-                    "resume with: repro {} {}".format(
-                        args.artifact, _resume_hint(args, exc.run_id)
-                    ),
-                    file=sys.stderr,
-                )
             if len(engine_metrics):
                 _emit(report.render_metrics(
                     engine_metrics,
                     title="Run summary — engine & cache counters",
-                    prefixes=("engine.", "cache.", "journal.", "storage."),
+                    prefixes=("engine.", "cache.", "storage."),
                 ))
             return EXIT_RESUMABLE
     if args.artifact in ("table1", "all"):
@@ -746,7 +663,7 @@ def main(argv=None):
     if matrix is not None and len(engine_metrics):
         _emit(report.render_metrics(
             engine_metrics, title="Run summary — engine & cache counters",
-            prefixes=("engine.", "cache.", "journal.", "storage."),
+            prefixes=("engine.", "cache.", "storage."),
         ))
     return EXIT_OK
 

@@ -48,17 +48,15 @@ class ExperimentError(ReproError):
 class CampaignInterrupted(ReproError):
     """A campaign was preempted (SIGTERM/SIGINT) and stopped gracefully.
 
-    The run is *resumable*: everything finished before the signal is in
-    the journal and/or result cache, and re-invoking with the same spec
-    plus ``--resume <run_id>`` continues where the interrupted run left
-    off. ``results`` carries whatever partial output the campaign had
-    produced (``None`` slots for cells that never completed).
+    With a result cache the run is *resumable*: everything finished
+    before the signal is in the cache, and re-running the same command
+    serves those cells as hits and runs only the rest. ``results``
+    carries whatever partial output the campaign had produced (``None``
+    slots for cells that never completed).
     """
 
-    def __init__(self, message, run_id="", completed=0, total=0,
-                 results=None):
+    def __init__(self, message, completed=0, total=0, results=None):
         super().__init__(message)
-        self.run_id = run_id
         self.completed = completed
         self.total = total
         self.results = results

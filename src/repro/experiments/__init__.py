@@ -13,9 +13,8 @@
 * :mod:`repro.experiments.parallel` — the process-pool engine fanning
   cells over workers with deterministic ordering and fault isolation;
 * :mod:`repro.experiments.cache` — the content-addressed on-disk
-  result cache that makes warm re-runs free;
-* :mod:`repro.experiments.journal` — the durable append-only run
-  journal that makes killed campaigns resumable;
+  result cache that makes warm re-runs free and resumes a killed
+  campaign: re-running the same command serves every finished cell;
 * :mod:`repro.experiments.watchdog` — the hung-worker heartbeat
   watchdog (kill and requeue on stale beats);
 * :mod:`repro.experiments.preemption` — SIGTERM/SIGINT handling that
@@ -29,7 +28,6 @@ from repro.experiments.configs import (
     DERIVED_CONFIGS,
     LIVE_CONFIGS,
 )
-from repro.experiments.journal import RunJournal, spec_hash
 from repro.experiments.parallel import (
     CellFailure,
     ExperimentCell,
@@ -56,10 +54,8 @@ __all__ = [
     "LIVE_CONFIGS",
     "PreemptionGuard",
     "ResultCache",
-    "RunJournal",
     "WatchdogPolicy",
     "content_key",
     "run_experiment",
     "run_matrix",
-    "spec_hash",
 ]

@@ -6,8 +6,9 @@ name, thread count, seed, the complete :class:`~repro.config.MachineConfig`,
 any thrifty-policy overrides, and the package version (the simulator is
 bit-deterministic, so a new package version is the only way an identical
 input can legitimately produce a different output). Re-running a
-figure, sweep, or benchmark therefore skips every already-simulated
-cell.
+figure, sweep, chaos campaign or benchmark therefore skips every
+already-simulated cell, which is also how a killed campaign resumes:
+run the same command again on the same cache.
 
 Cache entries are individual pickle files **sharded** into 2-hex
 content-hash prefix directories (``<dir>/ab/<key>.pkl``), so
@@ -89,14 +90,17 @@ def _canonical(value):
 
 def content_key(
     app, config, threads, seed, machine_config, overrides=None,
-    telemetry=False,
+    telemetry=False, chaos=None,
 ):
     """Stable hex digest identifying one experiment cell.
 
     Any perturbation of any field — including nested fields of the
     machine config, the ``telemetry`` flag (a traced result carries the
     event stream a plain one does not), and a bump of the package
-    version — yields a new key.
+    version — yields a new key. ``chaos`` (a dict of the fault plan and
+    liveness deadline) keys an audited chaos report instead of an
+    experiment result; its presence alone keeps the two kinds of entry
+    apart.
     """
     payload = {
         "version": __version__,
@@ -108,6 +112,8 @@ def content_key(
         "overrides": _canonical(dict(overrides or {})),
         "telemetry": bool(telemetry),
     }
+    if chaos is not None:
+        payload["chaos"] = _canonical(chaos)
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 

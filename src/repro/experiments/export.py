@@ -12,7 +12,7 @@ import io
 import json
 
 from repro.errors import ConfigError
-from repro.experiments.journal import atomic_write_text
+from repro.faults.storage import atomic_write_text
 from repro.experiments.metrics import SEGMENTS, normalized_breakdown
 
 

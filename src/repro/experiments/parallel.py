@@ -8,24 +8,24 @@ runs alone through :func:`run_cell`. A cold ``repro all`` thus makes
 three live simulations per app, not five. Each cell still computes the
 exact :class:`~repro.experiments.runner.ExperimentResult` that
 :func:`~repro.experiments.runner.run_experiment` gives it, in-process
-or in a worker, and keeps its own result slot, cache entry, journal
-records and :class:`CellFailure`. The engine adds, around that unit:
+or in a worker, and keeps its own result slot, cache entry and
+:class:`CellFailure`. The engine adds, around that unit:
 
 * fan-out over ``multiprocessing`` fork workers with chunked dispatch
   (a family is never split) and result ordering that matches
   submission order regardless of completion order;
 * an on-disk :class:`~repro.experiments.cache.ResultCache` so warm
-  re-runs perform zero re-simulations;
+  re-runs perform zero re-simulations. It is also the only persistence
+  path: a killed campaign resumes by re-running the same command,
+  which serves every finished cell as a hit;
 * robustness: a per-cell timeout with bounded retry, worker-crash
   isolation (a dead worker costs only its unfinished cells, which are
   retried and then recorded as structured :class:`CellFailure` records
   while the rest of the matrix completes), and a strict mode that
   raises :class:`~repro.errors.ExperimentError` instead;
-* crash safety: an optional durable
-  :class:`~repro.experiments.journal.RunJournal` records per-cell
-  dispatch/completion/failure (fsynced per line) plus periodic
-  checkpoints, a heartbeat :mod:`~repro.experiments.watchdog` kills
-  and requeues workers whose beats go stale, and a cooperative
+* crash safety: every finished cell is stored in the cache as it
+  completes, a heartbeat :mod:`~repro.experiments.watchdog` kills and
+  requeues workers whose beats go stale, and a cooperative
   ``preemption`` guard turns SIGTERM/SIGINT into a graceful, resumable
   stop (:class:`~repro.errors.CampaignInterrupted`);
 * graceful degradation to a plain serial loop when ``workers=1``, when
@@ -265,21 +265,16 @@ def record_engine_metrics(metrics, engine):
     """Fold an engine's (and its cache's) counters into a registry.
 
     This is the bridge the CLI run summary uses: ``engine.*`` counters
-    mirror :class:`EngineStats`, ``cache.*`` counters mirror
-    :meth:`~repro.experiments.cache.ResultCache.stats`, and
-    ``journal.*`` counters surface the storage-degradation accounting
-    (lost writes, corrupt reads) so a sick disk shows up in every run
-    summary instead of only in warnings.
+    mirror :class:`EngineStats` and ``cache.*`` counters mirror
+    :meth:`~repro.experiments.cache.ResultCache.stats`, whose
+    ``write_errors`` make a sick disk show up in every run summary
+    instead of only in warnings.
     """
     for name, value in engine.stats.as_dict().items():
         metrics.counter("engine.{}".format(name)).inc(value)
     if engine.cache is not None:
         for name, value in engine.cache.stats().items():
             metrics.counter("cache.{}".format(name)).inc(value)
-    journal = getattr(engine, "journal", None)
-    if journal is not None:
-        metrics.counter("journal.write_errors").inc(journal.write_errors)
-        metrics.counter("journal.corrupt_reads").inc(journal.corrupt_reads)
 
 
 def _chunk_worker(chunk, out_queue, task_fn, beat_interval_s=None):
@@ -303,19 +298,6 @@ def _chunk_worker(chunk, out_queue, task_fn, beat_interval_s=None):
     finally:
         if stop_beats is not None:
             stop_beats.set()
-
-
-def cell_id(cell, index):
-    """Stable journal identity for one submitted cell.
-
-    Submission order is deterministic, so the index alone identifies
-    the cell across an interrupt/resume; the app/config prefix is for
-    humans reading the journal.
-    """
-    app = getattr(cell, "app", None)
-    if app is not None:
-        return "{}/{}#{}".format(app, getattr(cell, "config", "?"), index)
-    return "cell#{}".format(index)
 
 
 def _fork_context():
@@ -383,11 +365,6 @@ class ExperimentEngine:
         before redispatch, so a transiently-overloaded host is not
         hammered with immediate retries. ``backoff_base_s=0`` restores
         the old immediate-requeue behaviour.
-    journal:
-        Optional :class:`~repro.experiments.journal.RunJournal`; every
-        cell's dispatch, completion, and failure is durably appended,
-        with a checkpoint snapshot every ``checkpoint_every``
-        completions, so a killed run can be resumed.
     watchdog:
         ``None`` (off), ``True`` (default policy), a beat interval in
         seconds, or a :class:`~repro.experiments.watchdog.
@@ -400,18 +377,17 @@ class ExperimentEngine:
         a :class:`~repro.experiments.preemption.PreemptionGuard`. Once
         truthy, the engine stops dispatching, drains in-flight workers
         until the guard's ``drain_deadline_s`` passes (then kills
-        them), flushes the journal, and raises
-        :class:`~repro.errors.CampaignInterrupted`.
+        them), and raises :class:`~repro.errors.CampaignInterrupted`.
+        Every cell finished by then is already in the cache.
     tracer:
         Optional :class:`~repro.telemetry.tracer.Tracer` receiving the
-        engine-level events (``WorkerStalled``, ``CheckpointWritten``).
+        engine-level events (``WorkerStalled``, ``StorageFault``).
     """
 
     def __init__(self, workers=1, cache=None, timeout=None, retries=1,
                  strict=False, chunksize=None, backoff_base_s=0.05,
-                 backoff_cap_s=2.0, backoff_seed=0, journal=None,
-                 watchdog=None, preemption=None, tracer=None,
-                 checkpoint_every=8):
+                 backoff_cap_s=2.0, backoff_seed=0, watchdog=None,
+                 preemption=None, tracer=None):
         if workers is None:
             workers = os.cpu_count() or 1
         if workers < 1:
@@ -432,26 +408,13 @@ class ExperimentEngine:
         self.backoff_base_s = backoff_base_s
         self.backoff_cap_s = backoff_cap_s
         self.backoff_seed = backoff_seed
-        if checkpoint_every < 1:
-            raise ConfigError("checkpoint_every must be >= 1")
-        self.journal = journal
         self.watchdog = WatchdogPolicy.coerce(watchdog)
         self.preemption = preemption
         self.tracer = tracer
-        if journal is not None and tracer is not None:
-            # Storage faults the journal degrades over ride the same
-            # telemetry stream as every other engine event.
-            journal.tracer = tracer
-        self.checkpoint_every = checkpoint_every
         self.stats = EngineStats()
         #: Backoff delays applied to retries, in the order they were
         #: scheduled (accumulates across runs, like ``stats``).
         self.retry_delays = []
-        #: Per-cell backoff history of the engine's most recent
-        #: ``run_cells`` call: ``{index: [delay, ...]}``. A cell that
-        #: exhausts every attempt lands in the journal as
-        #: ``failed-permanent`` with exactly this list.
-        self.cell_retry_delays = {}
 
     # ------------------------------------------------------------------
     # public API
@@ -470,21 +433,13 @@ class ExperimentEngine:
         self.stats.submitted += len(cells)
         results = [_PENDING] * len(cells)
         use_cache = self.cache is not None and task_fn is None
-        self.cell_retry_delays = {}
-        self._completions_since_checkpoint = 0
         pending = []
         for index, cell in enumerate(cells):
             if use_cache:
-                key = cell.key()
-                hit = self.cache.get(key, _PENDING)
+                hit = self.cache.get(cell.key(), _PENDING)
                 if hit is not _PENDING:
                     results[index] = hit
                     self.stats.cache_hits += 1
-                    if self.journal is not None:
-                        self.journal.record_completed(
-                            cell_id(cell, index), index=index, key=key,
-                            cached=True,
-                        )
                     continue
             pending.append(index)
         units = _units(cells, pending, share_baseline=task_fn is None)
@@ -497,13 +452,6 @@ class ExperimentEngine:
                 )
             else:
                 self._run_serial(cells, units, results, task, use_cache)
-        if self.journal is not None:
-            failures = sum(
-                1 for r in results if isinstance(r, CellFailure)
-            )
-            self.journal.record_finished(
-                completed=len(results) - failures, failed=failures,
-            )
         if self.strict:
             failures = [r for r in results if isinstance(r, CellFailure)]
             if failures:
@@ -562,27 +510,14 @@ class ExperimentEngine:
             self.preemption, "drain_deadline_s", DEFAULT_DRAIN_DEADLINE_S
         )
 
-    def _note_completion(self, results):
-        """Checkpoint cadence: a journal snapshot every N completions."""
-        if self.journal is None:
-            return
-        self._completions_since_checkpoint += 1
-        if self._completions_since_checkpoint >= self.checkpoint_every:
-            self._completions_since_checkpoint = 0
-            done = sum(1 for r in results if r is not _PENDING)
-            self.journal.checkpoint(done, len(results), tracer=self.tracer)
-
     def _raise_interrupted(self, results):
-        """Journal the stop and raise the resumable interrupt."""
+        """Raise the resumable interrupt with the partial results."""
         done = sum(1 for r in results if r is not _PENDING)
         reason = getattr(self.preemption, "reason", "request")
-        run_id = self.journal.run_id if self.journal is not None else ""
-        if self.journal is not None:
-            self.journal.record_interrupted(reason, done, len(results))
         raise CampaignInterrupted(
             "campaign preempted ({}) after {} of {} cells; "
             "resumable".format(reason, done, len(results)),
-            run_id=run_id, completed=done, total=len(results),
+            completed=done, total=len(results),
             results=tuple(
                 None if r is _PENDING else r for r in results
             ),
@@ -604,21 +539,13 @@ class ExperimentEngine:
 
     def _record(self, cells, index, status, payload, results, use_cache,
                 attempts=1):
-        """File one cell's outcome: result slot, cache, journal, stats."""
+        """File one cell's outcome: result slot, cache, stats."""
         cell = cells[index]
-        journal = self.journal
         if status == OK:
             results[index] = payload
             self.stats.executed += 1
-            key = None
             if use_cache:
-                key = cell.key()
-                self._cache_store(key, payload)
-            if journal is not None:
-                journal.record_completed(
-                    cell_id(cell, index), index=index, key=key,
-                )
-            self._note_completion(results)
+                self._cache_store(cell.key(), payload)
             return
         error_type, message = payload
         results[index] = CellFailure(
@@ -626,33 +553,20 @@ class ExperimentEngine:
             message=message, attempts=attempts,
         )
         self.stats.failures += 1
-        if journal is not None:
-            # A raising cell is deterministic — never retried — so an
-            # error here is already permanent.
-            journal.record_failed_permanent(
-                cell_id(cell, index), index=index, kind="error",
-                message="{}: {}".format(error_type, message),
-                attempts=attempts,
-                retry_delays=self.cell_retry_delays.get(index, []),
-            )
 
     # ------------------------------------------------------------------
     # serial path
 
     def _run_serial(self, cells, units, results, task, use_cache):
         # A unit runs when its first cell comes up. Its other cells'
-        # outcomes wait for their own turns, so preemption checks,
-        # checkpoints and the journal still go one cell at a time in
-        # submission order, and no simulation outlives its unit.
+        # outcomes wait for their own turns, so preemption checks and
+        # cache stores still go one cell at a time in submission order,
+        # and no simulation outlives its unit.
         unit_of = {index: unit for unit in units for index, _ in unit}
         ready = {}
         for index in sorted(unit_of):
             if self._preempted():
                 self._raise_interrupted(results)
-            if self.journal is not None:
-                self.journal.record_dispatched(
-                    cell_id(cells[index], index), index=index,
-                )
             if index not in ready:
                 for done, status, payload in _run_unit(unit_of[index], task):
                     ready[done] = (status, payload)
@@ -684,7 +598,6 @@ class ExperimentEngine:
         attempts = {index: 1 for unit in units for index, _ in unit}
         active = []
         timeout = self.timeout if self.timeout is not None else float("inf")
-        journal = self.journal
         watchdog = self.watchdog
         monitor = HeartbeatMonitor(watchdog) if watchdog is not None else None
         # Fresh backoff per parallel run so the retry schedule depends
@@ -746,26 +659,12 @@ class ExperimentEngine:
                 if retry:
                     self.stats.retries += 1
                     self.retry_delays.append(delay)
-                    self.cell_retry_delays.setdefault(index, []).append(
-                        delay
-                    )
-                    if journal is not None:
-                        journal.record_failed(
-                            cell_id(cell, index), index=index, kind=kind,
-                            message=message, attempt=attempt,
-                        )
                     attempts[index] += 1
                     continue
                 results[index] = CellFailure(
                     cell=cell, kind=kind, message=message, attempts=attempt,
                 )
                 self.stats.failures += 1
-                if journal is not None:
-                    journal.record_failed_permanent(
-                        cell_id(cell, index), index=index, kind=kind,
-                        message=message, attempts=attempt,
-                        retry_delays=self.cell_retry_delays.get(index, []),
-                    )
 
         def launch():
             # One bounded pass: each queued chunk is examined at most
@@ -795,20 +694,13 @@ class ExperimentEngine:
                 process.start()
                 if monitor is not None:
                     monitor.register(process.pid)
-                remaining = {
-                    index: cell for unit in chunk for index, cell in unit
-                }
-                if journal is not None:
-                    for index, cell in remaining.items():
-                        journal.record_dispatched(
-                            cell_id(cell, index), index=index,
-                            attempt=attempts[index],
-                        )
                 active.append(_WorkerState(
                     process=process,
                     out_queue=out_queue,
                     units=chunk,
-                    remaining=remaining,
+                    remaining={
+                        index: cell for unit in chunk for index, cell in unit
+                    },
                     deadline=time.monotonic() + timeout,
                 ))
 
@@ -847,8 +739,8 @@ class ExperimentEngine:
         def preempt_shutdown():
             # Stop dispatch, give in-flight workers the drain deadline
             # to finish their current cells, then kill the rest. Every
-            # completion recorded during the drain reaches the cache
-            # and journal as usual, so nothing finished is lost.
+            # completion recorded during the drain reaches the cache as
+            # usual, so nothing finished is lost.
             work.clear()
             stop_at = time.monotonic() + self._drain_deadline_s()
             while active and time.monotonic() < stop_at:
@@ -924,10 +816,6 @@ class ExperimentEngine:
                         pid = state.process.pid
                         monitor.declare_stall(pid)
                         self.stats.stalled += 1
-                        if journal is not None:
-                            journal.record_worker_stalled(
-                                pid, sorted(state.remaining), stale_s,
-                            )
                         if self.tracer is not None and self.tracer.enabled:
                             from repro.telemetry.events import WorkerStalled
 

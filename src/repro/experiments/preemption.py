@@ -2,9 +2,10 @@
 
 Production schedulers preempt with SIGTERM and humans with Ctrl-C;
 either way a campaign should stop *cleanly*: no new dispatch, in-flight
-workers drained (or killed once the drain deadline passes), journal and
-telemetry flushed, and a distinct "resumable" exit status so the caller
-knows ``--resume`` will pick up exactly where it stopped.
+workers drained (or killed once the drain deadline passes), every
+finished cell in the result cache, and a distinct "resumable" exit
+status so the caller knows re-running the same command picks up
+exactly where it stopped.
 
 :class:`PreemptionGuard` is the cooperative half: installed as a
 context manager, the **first** signal merely sets :attr:`requested` —
@@ -34,8 +35,8 @@ DEFAULT_DRAIN_DEADLINE_S = 5.0
 class PreemptionGuard:
     """Latches the first SIGTERM/SIGINT; escalates on the second.
 
-    ``signals`` accumulates the names of delivered signals (the journal
-    records the first as the interruption reason). Use as::
+    ``signals`` accumulates the names of delivered signals (the first
+    is the interruption reason). Use as::
 
         with PreemptionGuard() as guard:
             engine = ExperimentEngine(..., preemption=guard)

@@ -286,7 +286,7 @@ def run_matrix(
     apps=None, threads=64, seed=DEFAULT_SEED,
     machine_config=None, configs=None,
     workers=1, cache=None, timeout=None, retries=1, strict=True,
-    metrics=None, journal=None, preemption=None, watchdog=None,
+    metrics=None, preemption=None, watchdog=None,
 ):
     """The full evaluation sweep: {app: {config: ExperimentResult}}.
 
@@ -309,13 +309,13 @@ def run_matrix(
     hits, misses, errors) are recorded into it, which is how the CLI
     surfaces them in its run summary.
 
-    Crash safety rides three optional arguments, all forwarded to the
-    engine: ``journal`` (a :class:`~repro.experiments.journal.
-    RunJournal` durably recording per-cell progress), ``preemption``
-    (a :class:`~repro.experiments.preemption.PreemptionGuard`-like
-    object turning SIGTERM/SIGINT into a graceful
-    :class:`~repro.errors.CampaignInterrupted`), and ``watchdog`` (a
-    hung-worker heartbeat policy).
+    Crash safety rides the cache plus two optional arguments forwarded
+    to the engine: ``preemption`` (a
+    :class:`~repro.experiments.preemption.PreemptionGuard`-like object
+    turning SIGTERM/SIGINT into a graceful
+    :class:`~repro.errors.CampaignInterrupted`) and ``watchdog`` (a
+    hung-worker heartbeat policy). Every finished cell is cached as it
+    completes, so re-running an interrupted call resumes it.
     """
     from repro.experiments.parallel import (
         ExperimentEngine,
@@ -325,7 +325,7 @@ def run_matrix(
 
     engine = ExperimentEngine(
         workers=workers, cache=cache, timeout=timeout,
-        retries=retries, strict=strict, journal=journal,
+        retries=retries, strict=strict,
         preemption=preemption, watchdog=watchdog,
     )
     try:

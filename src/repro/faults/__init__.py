@@ -13,7 +13,7 @@ Four layers:
 * :mod:`repro.faults.storage` — :class:`StorageFaultInjector`, the
   same idea aimed at the repo's own durability layer: seeded ENOSPC /
   EIO / torn-write / crash-at-fsync injection behind the I/O shim the
-  journal and result cache write through.
+  result cache and the exports write through.
 
 :mod:`repro.faults.chaos` (imported lazily — it pulls in the
 experiment harness) sweeps sampled plans across the paper's five

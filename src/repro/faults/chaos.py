@@ -15,20 +15,24 @@ spin-then-sleep and re-enable after probation.
 
 Everything is seeded: the same ``(plans, apps, configs, threads,
 seed)`` produce byte-identical reports, which is what lets the chaos
-CI smoke job diff against a clean baseline.
+CI smoke job diff against a clean baseline. It is also what lets a
+campaign persist through the result cache alone: each audited report
+is stored under a content key (:func:`chaos_key`), so re-running a
+killed campaign serves every finished cell instead of re-simulating it.
 """
 
 from dataclasses import dataclass, field
 
+from repro.config import MachineConfig
 from repro.errors import ConfigError
+from repro.experiments.cache import ResultCache, content_key
 from repro.experiments.configs import CONFIG_NAMES, DERIVED_CONFIGS
+from repro.experiments.parallel import ExperimentCell, ExperimentEngine
 from repro.experiments.runner import (
     DEFAULT_SEED,
     _derived_result,
     _live_result,
     _run_live,
-    run_experiment,
-    run_family,
 )
 from repro.faults.injector import FAULT_KINDS
 from repro.faults.invariants import InvariantChecker
@@ -53,6 +57,9 @@ DEGRADED_THRIFTY = {
 #: Apps exercised when the caller does not choose (small but distinct
 #: imbalance profiles).
 DEFAULT_APPS = ("fmm",)
+
+#: Placeholder for a report neither shared in memory nor cached.
+_MISSING = object()
 
 
 def sample_plans(count, seed=0, intensity=1.0):
@@ -104,18 +111,16 @@ class ChaosCampaignReport:
 
     ``interrupted`` marks a campaign stopped by preemption before every
     planned cell ran — :attr:`cells` then holds the partial results
-    (never discarded), ``planned`` what a full run would contain, and
-    ``run_id`` (when journaled) what to pass to ``--resume``.
-    ``resumed_cells`` counts cells restored from the journal's payload
-    store instead of re-simulated. ``stopped_early`` marks a
-    ``fail_fast`` campaign that stopped at its first violating cell.
+    (never discarded) and ``planned`` what a full run would contain.
+    ``resumed_cells`` counts cells served from the result cache instead
+    of re-simulated. ``stopped_early`` marks a ``fail_fast`` campaign
+    that stopped at its first violating cell.
     """
 
     cells: list = field(default_factory=list)
     deadline_ns: int = DEFAULT_DEADLINE_NS
     planned: int = 0
     interrupted: bool = False
-    run_id: str = ""
     resumed_cells: int = 0
     stopped_early: bool = False
 
@@ -233,27 +238,28 @@ def run_chaos_cell(
     )[0]
 
 
-def _clean_results(app, configs, threads, seed, machine_config):
-    """Unperturbed references for one family (same degradation
-    overrides): one Baseline run serves ``baseline`` and the oracles."""
-    if _simulation_of(configs[0]) == "baseline":
-        return run_family(
-            app, configs, threads=threads, seed=seed,
-            machine_config=machine_config,
-        )
-    return [
-        run_experiment(
-            app, config, threads=threads, seed=seed,
-            machine_config=machine_config, **_overrides_for(config)
-        )
-        for config in configs
-    ]
+def chaos_key(
+    app, config, plan, threads=16, seed=DEFAULT_SEED, machine_config=None,
+    deadline_ns=DEFAULT_DEADLINE_NS,
+):
+    """Result-cache key of one audited :class:`ChaosCellReport`.
+
+    The ordinary cell key of ``(app, config, threads, seed, machine)``
+    with chaos's degradation overrides, extended by the fault plan and
+    the liveness deadline, so a chaos report and an experiment result
+    never share an entry, and changing any input changes the key.
+    """
+    return content_key(
+        app, config, threads, seed, machine_config or MachineConfig(),
+        _overrides_for(config),
+        chaos={"plan": plan, "deadline_ns": deadline_ns},
+    )
 
 
 def run_chaos_campaign(
     plans, apps=DEFAULT_APPS, configs=CONFIG_NAMES, threads=16,
     seed=DEFAULT_SEED, machine_config=None,
-    deadline_ns=DEFAULT_DEADLINE_NS, journal=None, preemption=None,
+    deadline_ns=DEFAULT_DEADLINE_NS, cache=None, preemption=None,
     fail_fast=False,
 ):
     """Sweep plans × apps × configs; returns a
@@ -262,18 +268,19 @@ def run_chaos_campaign(
     :func:`_run_chaos_family`), and each clean reference run serves its
     family for every plan.
 
-    Crash safety: with a ``journal``
-    (:class:`~repro.experiments.journal.RunJournal`), every finished
-    cell's report — and each shared clean reference — is atomically
-    persisted in the journal's payload store, so a resumed campaign
-    restores them instead of re-simulating; results are byte-identical
-    either way (the cells are seeded). With ``preemption`` (anything
-    exposing ``requested``), a SIGTERM/SIGINT between cells — or a
-    raw ``KeyboardInterrupt`` mid-cell — ends the campaign gracefully:
-    the partial report is *returned*, never discarded, flagged
+    Crash safety: with a ``cache`` (anything
+    :meth:`~repro.experiments.cache.ResultCache.coerce` accepts), every
+    audited report is stored under its :func:`chaos_key` as soon as its
+    family finishes, and the clean references under their ordinary
+    experiment-cell keys, so re-running an interrupted campaign serves
+    them instead of re-simulating; results are byte-identical either
+    way (the cells are seeded). With ``preemption`` (anything exposing
+    ``requested``), a SIGTERM/SIGINT between cells — or a raw
+    ``KeyboardInterrupt`` mid-cell — ends the campaign gracefully: the
+    partial report is *returned*, never discarded, flagged
     ``interrupted`` so the CLI can exit with the resumable status.
 
-    ``fail_fast`` stops the sweep at the first violating cell (restored
+    ``fail_fast`` stops the sweep at the first violating cell (cached
     or freshly run) and flags the report ``stopped_early`` — the
     violating cell is the last in :attr:`~ChaosCampaignReport.cells`.
     """
@@ -286,87 +293,67 @@ def run_chaos_campaign(
             )
         )
     apps = tuple(apps)
+    cache = ResultCache.coerce(cache)
     report = ChaosCampaignReport(
         deadline_ns=deadline_ns,
         planned=len(apps) * len(configs) * len(plans),
     )
-    if journal is not None:
-        report.run_id = journal.run_id
-    state = journal.replay() if journal is not None else None
-    clean_cache = {}
+    cleans = {}
     shared = {}
 
-    def preempted():
-        return preemption is not None and bool(
-            getattr(preemption, "requested", False)
+    def key_of(app, config, plan):
+        return chaos_key(
+            app, config, plan, threads=threads, seed=seed,
+            machine_config=machine_config, deadline_ns=deadline_ns,
         )
 
-    def clean_for(app, config):
-        key = (app, config)
-        if key not in clean_cache and journal is not None:
-            restored = journal.load_payload("clean/{}/{}".format(app, config))
-            if restored is not None:
-                clean_cache[key] = restored
-        if key not in clean_cache:
-            members = _family_of(config, configs)
-            results = _clean_results(
-                app, members, threads, seed, machine_config
+    def clean_for(app, members):
+        # Unperturbed references with the same degradation overrides,
+        # through the engine: it reads and feeds the cache, and one
+        # Baseline run serves ``baseline`` and the oracles.
+        missing = [m for m in members if (app, m) not in cleans]
+        if missing:
+            results = ExperimentEngine(cache=cache, strict=True).run_cells(
+                ExperimentCell.make(
+                    app, member, threads=threads, seed=seed,
+                    machine_config=machine_config, **_overrides_for(member)
+                )
+                for member in missing
             )
-            for member, clean in zip(members, results):
-                if (app, member) in clean_cache:
-                    continue
-                clean_cache[(app, member)] = clean
-                if journal is not None:
-                    journal.store_payload(
-                        "clean/{}/{}".format(app, member), clean
-                    )
-        return clean_cache[key]
+            cleans.update(
+                ((app, member), clean)
+                for member, clean in zip(missing, results)
+            )
+        return [cleans[(app, member)] for member in members]
 
-    def chaos_cell(app, config, plan_index, plan):
-        key = (app, config, plan_index)
-        if key not in shared:
-            members = _family_of(config, configs)
-            reports = _run_chaos_family(
-                app, members, plan, threads=threads, seed=seed,
-                machine_config=machine_config, deadline_ns=deadline_ns,
-                cleans=[clean_for(app, member) for member in members],
-            )
-            for member, cell in zip(members, reports):
-                shared[(app, member, plan_index)] = cell
-        return shared.pop(key)
-
-    def mark_interrupted(reason):
-        report.interrupted = True
-        if journal is not None:
-            journal.record_interrupted(
-                reason, len(report.cells), report.planned
-            )
+    def run_family_of(app, config, plan_index, plan):
+        # Every report of the family is cached as soon as it exists, so
+        # an interrupt after this cell re-simulates none of them.
+        members = _family_of(config, configs)
+        reports = _run_chaos_family(
+            app, members, plan, threads=threads, seed=seed,
+            machine_config=machine_config, deadline_ns=deadline_ns,
+            cleans=clean_for(app, members),
+        )
+        for member, cell in zip(members, reports):
+            shared[(app, member, plan_index)] = cell
+            if cache is not None:
+                cache.put(key_of(app, member, plan), cell)
 
     try:
         for app in apps:
             for config in configs:
                 for plan_index, plan in enumerate(plans):
-                    if preempted():
-                        mark_interrupted(
-                            getattr(preemption, "reason", "request")
-                        )
+                    if preemption is not None and preemption.requested:
+                        report.interrupted = True
                         return report
-                    cell_id = "{}/{}/plan{}".format(app, config, plan_index)
-                    if state is not None and cell_id in state.completed:
-                        restored = journal.load_payload(cell_id)
-                        if restored is not None:
-                            report.cells.append(restored)
-                            report.resumed_cells += 1
-                            if fail_fast and restored.violations:
-                                report.stopped_early = True
-                                return report
-                            continue
-                    if journal is not None:
-                        journal.record_dispatched(cell_id)
-                    cell = chaos_cell(app, config, plan_index, plan)
-                    if journal is not None:
-                        journal.store_payload(cell_id, cell)
-                        journal.record_completed(cell_id)
+                    cell = shared.pop((app, config, plan_index), _MISSING)
+                    if cell is _MISSING and cache is not None:
+                        cell = cache.get(key_of(app, config, plan), _MISSING)
+                        report.resumed_cells += cell is not _MISSING
+                    if cell is _MISSING:
+                        run_family_of(app, config, plan_index, plan)
+                        cell = shared.pop((app, config, plan_index))
                     report.cells.append(cell)
                     if fail_fast and cell.violations:
                         report.stopped_early = True
@@ -374,10 +361,7 @@ def run_chaos_campaign(
     except KeyboardInterrupt:
         # A raw Ctrl-C mid-simulation (no guard installed, or the
         # operator pressed it twice): still report what finished.
-        mark_interrupted("SIGINT")
-        return report
-    if journal is not None:
-        journal.record_finished(completed=len(report.cells), failed=0)
+        report.interrupted = True
     return report
 
 
@@ -395,7 +379,6 @@ def chaos_report_as_dict(report):
         "planned": report.planned,
         "interrupted": report.interrupted,
         "stopped_early": report.stopped_early,
-        "run_id": report.run_id,
         "resumed_cells": report.resumed_cells,
         "ok": report.ok,
         "total_injected": report.total_injected,
@@ -466,7 +449,7 @@ def render_chaos_report(report):
         lines.append("VIOLATION " + violation.describe())
     if report.resumed_cells:
         lines.append(
-            "{} cell(s) restored from the run journal (not re-run)".format(
+            "{} cell(s) served from the result cache (not re-run)".format(
                 report.resumed_cells
             )
         )

@@ -1,32 +1,31 @@
 """Seeded filesystem fault injection and the durable-I/O shim.
 
-The crash-safety story of PRs 4-7 rests on three storage idioms:
-fsynced journal appends, tmp-file + ``os.replace`` atomic writes, and
-corruption-tolerant reads. Until now those idioms were only ever
-exercised on a healthy filesystem — the durability claims were real
-but untested against the failures that actually visit production
-disks: ``ENOSPC``, ``EIO``, short/torn writes, and a process dying
+The result cache is the one place campaign results persist, and its
+crash safety rests on two storage idioms: tmp-file + ``os.replace``
+atomic writes and corruption-tolerant reads. A healthy filesystem
+never tests them; the failures that visit production disks do:
+``ENOSPC``, ``EIO``, short/torn writes, and a process dying
 mid-``fsync``.
 
-This module closes that gap with two layers:
+This module makes those failures reproducible with two layers:
 
 * a **shim** — :func:`shim_write`, :func:`shim_fsync`,
-  :func:`shim_replace` and the durable primitives
-  :func:`append_line_durable` / :func:`atomic_write_bytes` built on
-  them. The journal and the result cache route every
-  durability-critical syscall through these seams. With no injector
-  installed each seam is a single ``is None`` test in front of the
-  real ``os`` call, so the disabled path costs nothing measurable
-  (``benchmarks/bench_journal_overhead.py`` holds it to <2% of a
-  journal append);
+  :func:`shim_replace` and the durable primitive
+  :func:`atomic_write_bytes` built on them. The result cache and the
+  CLI's exports route every durability-critical syscall through these
+  seams. With no injector installed each seam is a single ``is None``
+  test in front of the real ``os`` call, so the disabled path costs
+  nothing measurable (``benchmarks/bench_storage_overhead.py`` holds
+  ``shim_write`` + ``shim_fsync`` to <2% of ``os.write`` +
+  ``os.fsync``);
 * a **seeded injector** — :class:`StorageFaultPlan` (pure data, like
   :class:`~repro.faults.plan.FaultPlan`) plus
   :class:`StorageFaultInjector`, which executes the plan against the
   shim deterministically: the same ``(seed, plan)`` against the same
   operation sequence injects the same faults at the same points. That
   determinism is what lets CI kill a campaign with a seeded
-  ENOSPC/torn-write/crash plan, repair it with ``repro fsck``, resume
-  it, and byte-compare against a fault-free run.
+  ENOSPC/torn-write/crash plan, repair its cache with ``repro fsck``,
+  re-run it, and byte-compare against a fault-free run.
 
 Faults modeled
 --------------
@@ -380,23 +379,7 @@ def shim_replace(src, dst):
 
 
 # ---------------------------------------------------------------------
-# durable primitives built on the seams (shared by journal and cache)
-
-def append_line_durable(path, data, fsync=True):
-    """Append ``data`` to ``path`` and (by default) fsync it.
-
-    Unbuffered ``O_APPEND`` writes, so an injected tear leaves exactly
-    the prefix the fault model says it should — no stdlib buffer
-    flushing extra bytes behind the injector's back.
-    """
-    fd = os.open(str(path), os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
-    try:
-        shim_write(fd, data)
-        if fsync:
-            shim_fsync(fd)
-    finally:
-        os.close(fd)
-
+# the durable primitive built on the seams
 
 def atomic_write_bytes(path, data, fsync=True):
     """Write ``data`` to ``path`` atomically (tmp file + ``os.replace``).

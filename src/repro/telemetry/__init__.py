@@ -30,7 +30,6 @@ from repro.telemetry.events import (
     BarrierCheckIn,
     BarrierDepart,
     BarrierRelease,
-    CheckpointWritten,
     FaultInjected,
     InvariantCheck,
     LateWake,
@@ -39,7 +38,6 @@ from repro.telemetry.events import (
     PredictorHit,
     PredictorReenable,
     PredictorTrain,
-    ResumeStarted,
     SleepEnter,
     SleepExit,
     SleepRecord,
@@ -59,7 +57,6 @@ __all__ = [
     "BarrierCheckIn",
     "BarrierDepart",
     "BarrierRelease",
-    "CheckpointWritten",
     "Counter",
     "FaultInjected",
     "Gauge",
@@ -74,7 +71,6 @@ __all__ = [
     "PredictorHit",
     "PredictorReenable",
     "PredictorTrain",
-    "ResumeStarted",
     "SleepEnter",
     "SleepExit",
     "SleepRecord",

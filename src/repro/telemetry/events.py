@@ -310,30 +310,14 @@ class InvariantCheck:
 
 
 @dataclass(frozen=True)
-class CheckpointWritten:
-    """The run journal atomically replaced its checkpoint snapshot.
-
-    An engine-level (wall-clock) event, not a simulated one: ``ts`` is
-    always 0 and ordering is by stream position, so journaled runs stay
-    byte-deterministic.
-    """
-
-    kind: ClassVar[str] = "engine.checkpoint"
-
-    ts: int
-    run_id: str
-    completed: int
-    total: int
-
-    def record(self, metrics):
-        metrics.counter("engine.checkpoints_written").inc()
-
-
-@dataclass(frozen=True)
 class WorkerStalled:
     """The watchdog declared a worker dead: its heartbeats went stale
     for ``stale_s`` seconds and it was killed, its ``cells`` unfinished
-    cells requeued through the retry machinery."""
+    cells requeued through the retry machinery.
+
+    An engine-level (wall-clock) event, not a simulated one: ``ts`` is
+    always 0 and ordering is by stream position.
+    """
 
     kind: ClassVar[str] = "engine.worker_stalled"
 
@@ -347,29 +331,12 @@ class WorkerStalled:
 
 
 @dataclass(frozen=True)
-class ResumeStarted:
-    """A journaled campaign resumed: ``completed`` cells were found
-    finished in the journal, ``remaining`` are still to run."""
-
-    kind: ClassVar[str] = "engine.resume"
-
-    ts: int
-    run_id: str
-    completed: int
-    remaining: int
-
-    def record(self, metrics):
-        metrics.counter("engine.resumes").inc()
-
-
-@dataclass(frozen=True)
 class StorageFault:
     """A durable-storage operation failed and was degraded, not raised.
 
-    ``op`` names the failing seam (``journal-append``, ``checkpoint``,
-    ``payload-store``, ``cache-store``, ``corrupt-read``), ``path`` the
-    file (or cache key) involved, ``error`` the exception text. A
-    wall-clock (engine-level) event like :class:`CheckpointWritten`:
+    ``op`` names the failing seam (``cache-store``), ``path`` the cache
+    key involved, ``error`` the exception text. A wall-clock
+    (engine-level) event like :class:`WorkerStalled`:
     ``ts`` is 0 and ordering is stream position. A climbing
     ``storage.faults`` counter is an operator's first sign a disk is
     full or failing.
@@ -403,8 +370,6 @@ EVENT_TYPES = (
     PredictorReenable,
     FaultInjected,
     InvariantCheck,
-    CheckpointWritten,
     WorkerStalled,
-    ResumeStarted,
     StorageFault,
 )

@@ -21,7 +21,6 @@ import json
 from repro.telemetry.events import (
     BarrierDepart,
     BarrierRelease,
-    CheckpointWritten,
     FaultInjected,
     InvariantCheck,
     LateWake,
@@ -30,7 +29,6 @@ from repro.telemetry.events import (
     PredictorHit,
     PredictorReenable,
     PredictorTrain,
-    ResumeStarted,
     SleepExit,
     StorageFault,
     WakeUp,
@@ -158,12 +156,6 @@ def chrome_trace_events(events, process_name="repro"):
                 event.ts,
                 {"passed": event.passed, "violations": event.violations},
             ))
-        elif isinstance(event, CheckpointWritten):
-            rows.append(_instant(
-                "checkpoint {}".format(event.run_id), "engine", 0,
-                event.ts,
-                {"completed": event.completed, "total": event.total},
-            ))
         elif isinstance(event, WorkerStalled):
             rows.append(_instant(
                 "worker stalled", "engine", 0, event.ts,
@@ -171,14 +163,6 @@ def chrome_trace_events(events, process_name="repro"):
                     "worker": event.worker,
                     "cells": event.cells,
                     "stale_s": event.stale_s,
-                },
-            ))
-        elif isinstance(event, ResumeStarted):
-            rows.append(_instant(
-                "resume {}".format(event.run_id), "engine", 0, event.ts,
-                {
-                    "completed": event.completed,
-                    "remaining": event.remaining,
                 },
             ))
         elif isinstance(event, StorageFault):

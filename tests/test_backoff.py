@@ -6,7 +6,11 @@ import signal
 import pytest
 
 from repro.errors import ConfigError
-from repro.experiments.parallel import ExperimentEngine, RetryBackoff
+from repro.experiments.parallel import (
+    CellFailure,
+    ExperimentEngine,
+    RetryBackoff,
+)
 
 
 class TestRetryBackoff:
@@ -94,37 +98,23 @@ class TestEngineBackoff:
         assert out == ["c0", "c1"]
         assert engine.retry_delays == []
 
-    def test_exhaustion_journals_permanent_failure_with_history(
-        self, tmp_path
-    ):
-        from repro.experiments.journal import RunJournal
-        from repro.experiments.parallel import CellFailure
-
-        journal = RunJournal.create(
-            {"kind": "backoff-test"}, run_id="bk", root=tmp_path,
-        )
+    def test_exhaustion_fails_permanently_after_the_full_schedule(self):
         engine = ExperimentEngine(
             workers=2, retries=2, chunksize=1, backoff_base_s=0.01,
-            backoff_cap_s=0.05, backoff_seed=3, journal=journal,
+            backoff_cap_s=0.05, backoff_seed=3,
         )
         out = engine.run_cells(
             [{"name": "c0", "action": "die"}, {"name": "c1"}],
             task_fn=_task,
         )
-        assert isinstance(out[0], CellFailure)
-        assert out[0].attempts == 3
-
-        state = journal.replay()
-        assert set(state.failed_permanent) == {"cell#0"}
-        record = state.failed_permanent["cell#0"]
-        assert record["kind"] == "crashed"
-        assert record["attempts"] == 3
-        # The journaled backoff history is the cell's full schedule —
-        # exactly what a reference RetryBackoff produces, and exactly
-        # what the engine tracked per cell.
+        assert out[1] == "c1"
+        failure = out[0]
+        assert isinstance(failure, CellFailure)
+        assert (failure.kind, failure.attempts) == ("crashed", 3)
+        assert engine.stats.failures == 1
+        # The cell was given exactly the schedule a reference
+        # RetryBackoff produces before it failed for good.
         reference = RetryBackoff(base_s=0.01, cap_s=0.05, seed=3)
-        assert record["retry_delays"] == [
+        assert engine.retry_delays == [
             reference.delay_for(1), reference.delay_for(2),
         ]
-        assert record["retry_delays"] == engine.cell_retry_delays[0]
-        assert state.completed_ids == {"cell#1"}

@@ -215,22 +215,20 @@ class TestExitCodes:
         import repro.faults.chaos as chaos_module
         from repro.faults.chaos import ChaosCampaignReport
 
-        report = ChaosCampaignReport(
-            cells=[], planned=5, interrupted=True, run_id="soak",
-        )
+        report = ChaosCampaignReport(cells=[], planned=5, interrupted=True)
         monkeypatch.setattr(
             chaos_module, "run_chaos_campaign",
             lambda *args, **kwargs: report,
         )
         assert main([
             "chaos", "--apps", "fmm", "--threads", "8", "--plans", "1",
-            "--run-id", "soak", "--journal-dir", str(tmp_path),
+            "--cache-dir", str(tmp_path),
         ]) == 3
         out = capsys.readouterr().out
         assert "INTERRUPTED (resumable)" in out
-        assert "repro chaos --resume soak" in out
+        assert "re-run the same command to resume" in out
 
-    def test_chaos_interrupt_without_journal_suggests_run_id(
+    def test_chaos_interrupt_under_no_cache_says_nothing_was_kept(
         self, capsys, monkeypatch
     ):
         import repro.faults.chaos as chaos_module
@@ -243,35 +241,54 @@ class TestExitCodes:
         )
         assert main([
             "chaos", "--apps", "fmm", "--threads", "8", "--plans", "1",
+            "--no-cache",
         ]) == 3
-        assert "--run-id" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "nothing was kept (--no-cache)" in out
+        assert "starts over" in out
+        assert "result cache" not in out
 
 
 class TestChaosResume:
-    def test_journaled_campaign_resumes_without_rerunning(
+    @staticmethod
+    def _table(text):
+        return [
+            line for line in text.splitlines()
+            if line.startswith(("fmm", "OK:"))
+        ]
+
+    def test_cached_campaign_resumes_without_rerunning(
         self, capsys, tmp_path
     ):
-        root = str(tmp_path / "runs")
         common = [
             "chaos", "--apps", "fmm", "--threads", "8", "--plans", "2",
-            "--configs", "thrifty", "--journal-dir", root,
+            "--configs", "thrifty", "--cache-dir", str(tmp_path / "cache"),
         ]
-        assert main(common + ["--run-id", "round"]) == 0
+        assert main(common) == 0
         first = capsys.readouterr().out
-        assert "restored from the run journal" not in first
+        assert "served from the result cache" not in first
 
-        assert main(common + ["--resume", "round"]) == 0
+        assert main(common) == 0
         second = capsys.readouterr().out
-        assert "2 cell(s) restored from the run journal" in second
-        # Identical campaign summary either way (the restored cells are
-        # the journaled payloads of the first run).
-        def table(text):
-            return [
-                line for line in text.splitlines()
-                if line.startswith(("fmm", "OK:"))
-            ]
+        assert "2 cell(s) served from the result cache" in second
+        # Identical campaign summary either way (the served cells are
+        # the cached reports of the first run).
+        assert self._table(first) == self._table(second)
 
-        assert table(first) == table(second)
+    def test_no_cache_campaign_keeps_nothing(self, capsys, tmp_path,
+                                             monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "default"))
+        common = [
+            "chaos", "--apps", "fmm", "--threads", "8", "--plans", "1",
+            "--configs", "thrifty", "--no-cache",
+        ]
+        assert main(common) == 0
+        first = capsys.readouterr().out
+        assert main(common) == 0
+        second = capsys.readouterr().out
+        assert "served from the result cache" not in second
+        assert self._table(first) == self._table(second)
+        assert not (tmp_path / "default").exists()
 
 
 class TestCacheCommand:

@@ -1,22 +1,24 @@
 """Kill-and-resume acceptance tests for crash-safe campaigns.
 
-The property under test (the PR's acceptance criterion): a sweep
-interrupted at an arbitrary point and resumed produces exports
+The result cache is the one persistence path: every finished cell is
+stored as it completes, so resuming an interrupted campaign means
+re-running it on the same cache. The property under test: a sweep
+interrupted at an arbitrary point and re-run produces exports
 **byte-identical** to an uninterrupted run, with completed cells never
-re-executed — verified through the journal's record stream and the
-engine/cache counters. Exercised three ways:
+re-executed — verified through the engine/cache counters. Exercised
+three ways:
 
 * deterministically, via a stub preemption object, for several seeds
   and cut points (serial engine path);
-* on the parallel engine path (immediate preemption, drain, resume);
+* on the parallel engine path (immediate preemption, drain, re-run);
 * end-to-end through the CLI, both with a stubbed guard (in-process)
   and with a real SIGTERM delivered to a ``python -m repro``
   subprocess.
 """
 
-import json
 import os
 import random
+import re
 import signal
 import subprocess
 import sys
@@ -28,8 +30,8 @@ import pytest
 import repro
 from repro.cli import main
 from repro.errors import CampaignInterrupted
+from repro.experiments.cache import ResultCache
 from repro.experiments.export import matrix_to_json
-from repro.experiments.journal import RunJournal
 from repro.experiments.parallel import ExperimentEngine
 
 APPS = ("fmm",)
@@ -58,6 +60,13 @@ class TriggerAfter:
         self._fuse -= 1
         return False
 
+    # The CLI installs its guard as a context manager.
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
 
 def _reference_json(tmp_path, seed, **engine_kwargs):
     engine = ExperimentEngine(
@@ -78,31 +87,20 @@ class TestKillAndResumeProperty:
         total = len(APPS) * len(CONFIGS)
         # Seeded-random cut point: each seed interrupts elsewhere.
         cut = random.Random(seed).randrange(1, total)
-        root = tmp_path / "runs"
-        cache_dir = tmp_path / "cache"
-        journal = RunJournal.create(
-            {"seed": seed}, run_id="acceptance", root=root,
-        )
-        engine = ExperimentEngine(
-            cache=cache_dir, journal=journal, preemption=TriggerAfter(cut),
-        )
+        cache = ResultCache(tmp_path / "cache")
+        engine = ExperimentEngine(cache=cache, preemption=TriggerAfter(cut))
         with pytest.raises(CampaignInterrupted) as excinfo:
             engine.run_matrix(
                 APPS, configs=CONFIGS, threads=THREADS, seed=seed,
             )
         interrupt = excinfo.value
-        assert interrupt.run_id == "acceptance"
         assert (interrupt.completed, interrupt.total) == (cut, total)
         # Partial results ride the exception, never discarded.
         assert sum(r is not None for r in interrupt.results) == cut
+        # Exactly the finished cells were kept.
+        assert len(cache) == cut
 
-        state = RunJournal.open("acceptance", root=root).replay()
-        assert len(state.completed) == cut
-        assert state.interruptions == 1
-        assert not state.finished
-
-        resumed = RunJournal.open("acceptance", root=root)
-        second = ExperimentEngine(cache=cache_dir, journal=resumed)
+        second = ExperimentEngine(cache=tmp_path / "cache")
         matrix = second.run_matrix(
             APPS, configs=CONFIGS, threads=THREADS, seed=seed,
         )
@@ -111,10 +109,6 @@ class TestKillAndResumeProperty:
         assert second.stats.executed == total - cut
         assert matrix_to_json(matrix) == reference
 
-        state = resumed.replay()
-        assert state.finished
-        assert len(state.completed) == total
-
     def test_exported_files_are_byte_identical(self, tmp_path):
         seed = 1
         reference = _reference_json(tmp_path, seed)
@@ -122,19 +116,15 @@ class TestKillAndResumeProperty:
         out_path = tmp_path / "resumed.json"
         ref_path.write_text(reference + "\n")
 
-        root = tmp_path / "runs"
         cache_dir = tmp_path / "cache"
-        journal = RunJournal.create({"seed": seed}, run_id="r", root=root)
         engine = ExperimentEngine(
-            cache=cache_dir, journal=journal, preemption=TriggerAfter(1),
+            cache=cache_dir, preemption=TriggerAfter(1),
         )
         with pytest.raises(CampaignInterrupted):
             engine.run_matrix(
                 APPS, configs=CONFIGS, threads=THREADS, seed=seed,
             )
-        second = ExperimentEngine(
-            cache=cache_dir, journal=RunJournal.open("r", root=root),
-        )
+        second = ExperimentEngine(cache=cache_dir)
         matrix = second.run_matrix(
             APPS, configs=CONFIGS, threads=THREADS, seed=seed,
         )
@@ -145,28 +135,21 @@ class TestKillAndResumeProperty:
         seed = 1
         reference = _reference_json(tmp_path, seed)
         total = len(APPS) * len(CONFIGS)
-        root = tmp_path / "runs"
-        cache_dir = tmp_path / "cache"
-        journal = RunJournal.create({"seed": seed}, run_id="p", root=root)
+        cache = ResultCache(tmp_path / "cache")
         engine = ExperimentEngine(
-            workers=2, cache=cache_dir, journal=journal,
-            preemption=TriggerAfter(0),
+            workers=2, cache=cache, preemption=TriggerAfter(0),
         )
         with pytest.raises(CampaignInterrupted) as excinfo:
             engine.run_matrix(
                 APPS, configs=CONFIGS, threads=THREADS, seed=seed,
             )
         # In-flight workers drained gracefully: their completions are
-        # journaled and cached; only never-dispatched work remains.
+        # cached; only never-dispatched work remains.
         done = excinfo.value.completed
         assert 0 <= done < total
-        state = RunJournal.open("p", root=root).replay()
-        assert len(state.completed) == done
+        assert len(cache) == done
 
-        second = ExperimentEngine(
-            workers=2, cache=cache_dir,
-            journal=RunJournal.open("p", root=root),
-        )
+        second = ExperimentEngine(workers=2, cache=tmp_path / "cache")
         matrix = second.run_matrix(
             APPS, configs=CONFIGS, threads=THREADS, seed=seed,
         )
@@ -174,38 +157,23 @@ class TestKillAndResumeProperty:
         assert matrix_to_json(matrix) == reference
 
 
-class _StubGuard:
-    """Context-manager guard the CLI can use in place of the real one."""
+def _counter(out, name):
+    """One counter's value from a CLI run summary."""
+    (value,) = re.findall(r"^{}\s+(\d+)".format(re.escape(name)), out, re.M)
+    return int(value)
 
-    reason = "SIGTERM"
-    drain_deadline_s = 5.0
 
-    def __init__(self, fuse):
-        self._fuse = fuse
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        return False
-
-    @property
-    def requested(self):
-        if self._fuse <= 0:
-            return True
-        self._fuse -= 1
-        return False
+def _figure_text(out):
+    """The figure table of a ``repro figure5`` stdout, without the
+    run summary (whose counters differ between cold and warm runs)."""
+    return out.split("Run summary")[0]
 
 
 class TestCliKillAndResume:
     def test_cli_interrupt_exits_3_then_resume_matches_reference(
-        self, tmp_path, capsys, monkeypatch
+        self, tmp_path, capsys
     ):
-        root = str(tmp_path / "runs")
-        common = [
-            "figure5", "--apps", "fmm", "--threads", "4",
-            "--journal-dir", root,
-        ]
+        common = ["figure5", "--apps", "fmm", "--threads", "4"]
         ref_json = tmp_path / "ref.json"
         assert main(common + [
             "--cache-dir", str(tmp_path / "ref-cache"),
@@ -216,45 +184,80 @@ class TestCliKillAndResume:
         cache = str(tmp_path / "cache")
         with pytest.MonkeyPatch.context() as patched:
             patched.setattr(
-                "repro.cli.PreemptionGuard", lambda: _StubGuard(2),
+                "repro.cli.PreemptionGuard", lambda: TriggerAfter(2),
             )
             code = main(common + [
-                "--run-id", "clikill", "--cache-dir", cache,
+                "--cache-dir", cache,
                 "--json", str(tmp_path / "never-written.json"),
             ])
         assert code == 3
         err = capsys.readouterr().err
         assert "preempted (2 of 5 cells finished)" in err
-        assert "--resume clikill" in err
+        assert "re-run the same command to resume" in err
         # An interrupted run never writes a (partial) export.
         assert not (tmp_path / "never-written.json").exists()
 
         out_json = tmp_path / "resumed.json"
         assert main(common + [
-            "--resume", "clikill", "--cache-dir", cache,
-            "--json", str(out_json),
+            "--cache-dir", cache, "--json", str(out_json),
         ]) == 0
         out = capsys.readouterr().out
         assert "engine.cache_hits" in out
         assert out_json.read_bytes() == ref_json.read_bytes()
 
-    def test_cli_resume_rejects_different_campaign(self, tmp_path, capsys):
-        root = str(tmp_path / "runs")
-        ref = [
-            "figure5", "--apps", "fmm", "--threads", "4",
-            "--journal-dir", root, "--cache-dir", str(tmp_path / "cache"),
-        ]
-        assert main(ref + ["--run-id", "spec"]) == 0
-        capsys.readouterr()
-        from repro.errors import ConfigError
-
-        with pytest.raises(ConfigError, match="different campaign spec"):
-            main([
-                "figure5", "--apps", "ocean", "--threads", "4",
-                "--journal-dir", root,
-                "--cache-dir", str(tmp_path / "cache"),
-                "--resume", "spec",
+    def test_cli_interrupt_under_no_cache_says_nothing_was_kept(
+        self, tmp_path, capsys
+    ):
+        with pytest.MonkeyPatch.context() as patched:
+            patched.setattr(
+                "repro.cli.PreemptionGuard", lambda: TriggerAfter(2),
+            )
+            code = main([
+                "figure5", "--apps", "fmm", "--threads", "4", "--no-cache",
             ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "preempted (2 of 5 cells finished)" in err
+        assert "nothing was kept (--no-cache)" in err
+        assert "starts over" in err
+        assert "result cache" not in err
+
+    def test_cli_subset_campaign_on_a_shared_cache_is_byte_identical(
+        self, tmp_path, capsys
+    ):
+        # Content addressing serves a cell only to the campaign that
+        # asks for exactly that cell, so a different campaign on the
+        # same cache needs no refusal: it gets a cold run's bytes.
+        cold_json = tmp_path / "cold.json"
+        assert main([
+            "figure5", "--apps", "fmm", "--threads", "4",
+            "--cache-dir", str(tmp_path / "cold-cache"),
+            "--json", str(cold_json),
+        ]) == 0
+        cold = _figure_text(capsys.readouterr().out)
+
+        shared = str(tmp_path / "shared-cache")
+        with pytest.MonkeyPatch.context() as patched:
+            patched.setattr(
+                "repro.cli.PreemptionGuard", lambda: TriggerAfter(7),
+            )
+            assert main([
+                "figure5", "--apps", "fmm", "ocean", "--threads", "4",
+                "--cache-dir", shared,
+            ]) == 3
+        capsys.readouterr()
+
+        subset_json = tmp_path / "subset.json"
+        assert main([
+            "figure5", "--apps", "fmm", "--threads", "4",
+            "--cache-dir", shared, "--json", str(subset_json),
+        ]) == 0
+        out = capsys.readouterr().out
+        assert _figure_text(out) == cold
+        assert subset_json.read_bytes() == cold_json.read_bytes()
+        # Every fmm cell came from the interrupted campaign's cache.
+        assert _counter(out, "engine.cache_hits") == 5
+        assert _counter(out, "engine.executed") == 0
 
 
 class TestSigtermSubprocess:
@@ -266,7 +269,6 @@ class TestSigtermSubprocess:
                      if p]
         )
         env["REPRO_CACHE_DIR"] = str(tmp_path / cache_name)
-        env["REPRO_JOURNAL_DIR"] = str(tmp_path / "runs")
         return env
 
     def _run(self, args, env):
@@ -276,8 +278,8 @@ class TestSigtermSubprocess:
         )
 
     def test_real_sigterm_is_resumable_byte_identically(self, tmp_path):
-        # Enough cells (4 apps x 5 configs at 16 threads) that the
-        # journal appears long before the sweep finishes.
+        # Enough cells (4 apps x 5 configs at 16 threads) that the first
+        # cache entry appears long before the sweep finishes.
         args = [
             "figure5", "--apps", "fmm", "ocean", "radix", "fft",
             "--threads", "16",
@@ -291,39 +293,31 @@ class TestSigtermSubprocess:
         env = self._env(tmp_path, "cache")
         process = subprocess.Popen(
             [sys.executable, "-m", "repro"] + args + [
-                "--run-id", "sig", "--json", str(tmp_path / "killed.json"),
+                "--json", str(tmp_path / "killed.json"),
             ],
             env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
             text=True,
         )
-        journal_file = tmp_path / "runs" / "sig" / "journal.jsonl"
+        cache = ResultCache(tmp_path / "cache")
         deadline = time.monotonic() + 60.0
-        while not journal_file.exists() and time.monotonic() < deadline:
+        while not len(cache) and time.monotonic() < deadline:
             time.sleep(0.005)
-        assert journal_file.exists(), "sweep never started journaling"
+        assert len(cache), "sweep never stored a cell"
         process.send_signal(signal.SIGTERM)
         _, stderr = process.communicate(timeout=300)
         assert process.returncode == 3, stderr
-        assert "resume with: repro figure5 --resume sig" in stderr
+        assert "re-run the same command to resume" in stderr
         assert not (tmp_path / "killed.json").exists()
+        kept = len(cache)
+        assert 0 < kept < 20
 
         resumed = self._run(
-            args + ["--resume", "sig", "--json", str(tmp_path / "out.json")],
-            env,
+            args + ["--json", str(tmp_path / "out.json")], env,
         )
         assert resumed.returncode == 0, resumed.stderr
         assert "engine.cache_hits" in resumed.stdout
         ref_bytes = (tmp_path / "ref.json").read_bytes()
         assert (tmp_path / "out.json").read_bytes() == ref_bytes
-        # The journal agrees: every cell completed exactly once overall.
-        records = [
-            json.loads(line)
-            for line in journal_file.read_text().splitlines()
-        ]
-        completed = {
-            r["cell"] for r in records if r["record"] == "completed"
-        }
-        assert len(completed) == 20
-        assert any(r["record"] == "interrupted" for r in records)
-        assert any(r["record"] == "resumed" for r in records)
-        assert any(r["record"] == "finished" for r in records)
+        # Every cell completed exactly once overall: the re-run stored
+        # only the cells the interrupted run had not.
+        assert len(cache) == 20

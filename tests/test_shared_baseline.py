@@ -24,7 +24,9 @@ from repro.experiments.parallel import (
 from repro.experiments.runner import run_experiment, run_matrix
 from repro.faults.chaos import (
     ChaosCampaignReport,
+    ChaosCellReport,
     _overrides_for,
+    chaos_key,
     chaos_report_as_dict,
     run_chaos_campaign,
     run_chaos_cell,
@@ -261,3 +263,90 @@ class TestChaosSharing:
                         app, config, plan, threads=THREADS, clean=clean,
                     ))
         assert chaos_report_as_dict(campaign) == chaos_report_as_dict(alone)
+
+
+class TestChaosCache:
+    """Chaos reports persist in the result cache under their own keys,
+    so re-running an interrupted campaign is its resume."""
+
+    def test_chaos_and_matrix_keys_never_collide(self):
+        plan = sample_plans(1, seed=7)[0]
+        for config in CONFIG_NAMES:
+            cell = ExperimentCell.make(
+                "fmm", config, threads=THREADS, **_overrides_for(config)
+            )
+            assert chaos_key("fmm", config, plan, threads=THREADS) \
+                != cell.key()
+
+    def test_every_input_changes_the_chaos_key(self):
+        first, second = sample_plans(2, seed=7)
+        base = dict(threads=THREADS, seed=1, deadline_ns=10_000_000)
+        key = chaos_key("fmm", "thrifty", first, **base)
+        assert key == chaos_key("fmm", "thrifty", first, **base)
+        for changed in (
+            chaos_key("fmm", "thrifty", second, **base),
+            chaos_key("fmm", "thrifty", first, **dict(base, threads=16)),
+            chaos_key("fmm", "thrifty", first, **dict(base, seed=2)),
+            chaos_key(
+                "fmm", "thrifty", first, **dict(base, deadline_ns=1_000_000)
+            ),
+            chaos_key("radix", "thrifty", first, **base),
+            chaos_key("fmm", "thrifty-halt", first, **base),
+        ):
+            assert changed != key
+
+    def test_chaos_entries_are_never_served_to_matrix_cells(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        run_chaos_campaign(
+            sample_plans(1, seed=7), apps=("fmm",), threads=THREADS,
+            cache=cache,
+        )
+        engine = ExperimentEngine(cache=cache, strict=True)
+        matrix = engine.run_matrix(("fmm",), threads=THREADS, seed=1)
+        assert not any(
+            isinstance(result, ChaosCellReport)
+            for result in matrix["fmm"].values()
+        )
+        cold = ExperimentEngine(strict=True).run_matrix(
+            ("fmm",), threads=THREADS, seed=1,
+        )
+        assert matrix_to_json(matrix) == matrix_to_json(cold)
+
+    def test_matrix_entries_are_never_served_as_chaos_reports(
+        self, tmp_path
+    ):
+        cache = ResultCache(tmp_path / "cache")
+        run_matrix(apps=("fmm",), threads=THREADS, seed=1, cache=cache)
+        plans = sample_plans(1, seed=7)
+        campaign = run_chaos_campaign(
+            plans, apps=("fmm",), threads=THREADS, seed=1, cache=cache,
+        )
+        assert campaign.resumed_cells == 0
+        alone = run_chaos_campaign(
+            plans, apps=("fmm",), threads=THREADS, seed=1,
+        )
+        assert chaos_report_as_dict(campaign) == chaos_report_as_dict(alone)
+
+    @pytest.mark.parametrize("cut", (1, 3, 8))
+    def test_rerun_after_interrupt_resimulates_no_finished_cell(
+        self, live_runs, tmp_path, cut
+    ):
+        plans = sample_plans(2, seed=7)
+        kwargs = dict(apps=("fmm",), threads=THREADS)
+        reference = run_chaos_campaign(plans, **kwargs)
+        uninterrupted_runs = live_runs()
+
+        cache = ResultCache(tmp_path / "cache")
+        interrupted = run_chaos_campaign(
+            plans, cache=cache, preemption=_FlipAfter(cut), **kwargs
+        )
+        assert interrupted.interrupted
+        assert len(interrupted.cells) == cut
+        rerun = run_chaos_campaign(plans, cache=cache, **kwargs)
+        # Between them the two runs simulate exactly what one
+        # uninterrupted campaign does: nothing finished ran twice.
+        assert live_runs() == uninterrupted_runs
+        assert rerun.resumed_cells >= cut
+        assert not rerun.interrupted
+        assert chaos_report_as_dict(rerun)["cells"] == \
+            chaos_report_as_dict(reference)["cells"]

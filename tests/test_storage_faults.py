@@ -8,11 +8,10 @@ The claims under test, matching ``repro.faults.storage``'s contract:
   ``fill_after_bytes`` behaves like a disk with that much room, and a
   crash-at-fsync unwinds like SIGKILL (uncatchable by the ``OSError``
   degrade paths, tmp debris left behind);
-* the journal and the result cache *degrade* under a failing disk —
-  lost writes are counted/warned/emitted as telemetry, corruption
-  found at read time is counted instead of silently swallowed, and a
-  campaign on a completely dead disk still finishes with the right
-  numbers.
+* atomic writes never expose a partial file under the real name;
+* the result cache *degrades* under a failing disk — lost writes are
+  counted/warned/emitted as telemetry, and a campaign on a completely
+  dead disk still finishes with the right numbers.
 """
 
 import errno
@@ -24,7 +23,6 @@ import pytest
 from repro.errors import ConfigError
 from repro.experiments.cache import ResultCache
 from repro.experiments.export import matrix_to_json
-from repro.experiments.journal import RunJournal
 from repro.experiments.parallel import (
     ExperimentEngine,
     record_engine_metrics,
@@ -35,10 +33,12 @@ from repro.faults.storage import (
     StorageFaultInjector,
     StorageFaultPlan,
     active_storage_injector,
-    append_line_durable,
     atomic_write_bytes,
+    atomic_write_text,
     install_from_env,
     install_storage_faults,
+    shim_fsync,
+    shim_write,
     storage_faults,
     uninstall_storage_faults,
 )
@@ -179,6 +179,28 @@ class TestInjectorDeterminism:
         assert len(on_disk) < len(b"hello world\n")
 
 
+class TestAtomicWrite:
+    def test_round_trip(self, tmp_path):
+        path = tmp_path / "sub" / "file.bin"
+        atomic_write_bytes(path, b"payload")
+        assert path.read_bytes() == b"payload"
+
+    def test_replace_leaves_no_tmp_files(self, tmp_path):
+        path = tmp_path / "file.txt"
+        atomic_write_text(path, "old")
+        atomic_write_text(path, "new")
+        assert path.read_text() == "new"
+        assert [p for p in os.listdir(tmp_path) if p.endswith(".tmp")] == []
+
+    def test_failed_write_preserves_old_content(self, tmp_path):
+        path = tmp_path / "file.txt"
+        atomic_write_text(path, "good")
+        with pytest.raises(TypeError):
+            atomic_write_bytes(path, object())  # not bytes
+        assert path.read_text() == "good"
+        assert [p for p in os.listdir(tmp_path) if p.endswith(".tmp")] == []
+
+
 class TestSimulatedCrash:
     def test_crash_is_not_degradable_as_oserror(self):
         assert issubclass(SimulatedCrash, BaseException)
@@ -186,17 +208,19 @@ class TestSimulatedCrash:
         assert not issubclass(SimulatedCrash, Exception)
 
     def test_crash_at_fsync_fires_on_the_nth_fsync(self, tmp_path):
-        path = tmp_path / "log"
         with storage_faults(StorageFaultPlan(crash_at_fsync=3)) as injector:
-            append_line_durable(path, b"one\n")
-            append_line_durable(path, b"two\n")
+            atomic_write_bytes(tmp_path / "one", b"one")
+            atomic_write_bytes(tmp_path / "two", b"two")
             with pytest.raises(SimulatedCrash):
-                append_line_durable(path, b"three\n")
+                atomic_write_bytes(tmp_path / "three", b"three")
         assert injector.injected["crash-fsync"] == 1
-        # The write preceding the fatal fsync did land (the data may or
-        # may not have survived a real crash; the fault model keeps it,
-        # which is the adversarial case for replay).
-        assert path.read_bytes() == b"one\ntwo\nthree\n"
+        assert (tmp_path / "one").read_bytes() == b"one"
+        assert (tmp_path / "two").read_bytes() == b"two"
+        # The write preceding the fatal fsync did land, but only in the
+        # tmp file: the real name never sees unsynced data.
+        assert not (tmp_path / "three").exists()
+        (debris,) = tmp_path.glob("*.tmp")
+        assert debris.read_bytes() == b"three"
 
     def test_crash_during_atomic_write_leaves_tmp_debris(self, tmp_path):
         with storage_faults(StorageFaultPlan(crash_at_fsync=1)):
@@ -217,7 +241,12 @@ class TestSimulatedCrash:
 class TestShimInstallation:
     def test_fast_path_with_no_injector(self, tmp_path):
         assert active_storage_injector() is None
-        append_line_durable(tmp_path / "plain", b"line\n")
+        fd = os.open(str(tmp_path / "plain"), os.O_WRONLY | os.O_CREAT)
+        try:
+            assert shim_write(fd, b"line\n") == 5
+            shim_fsync(fd)
+        finally:
+            os.close(fd)
         atomic_write_bytes(tmp_path / "atom", b"data")
         assert (tmp_path / "plain").read_bytes() == b"line\n"
         assert (tmp_path / "atom").read_bytes() == b"data"
@@ -261,70 +290,6 @@ class TestShimInstallation:
 _DEAD_DISK = StorageFaultPlan(seed=0, eio_probability=1.0)
 
 
-class TestJournalDegradation:
-    def test_append_degrades_counts_and_warns_once(self, tmp_path):
-        journal = RunJournal.create({"s": 1}, run_id="j", root=tmp_path)
-        with storage_faults(_DEAD_DISK):
-            with pytest.warns(RuntimeWarning, match="re-run on resume"):
-                assert journal.append("dispatched", cell="a") is False
-            # Only the first failure warns; all of them count.
-            assert journal.append("dispatched", cell="b") is False
-        assert journal.write_errors == 2
-        # O_CREAT made the file, but no record bytes landed.
-        assert (tmp_path / "j" / "journal.jsonl").read_bytes() == b""
-        # A healthy disk afterwards appends normally.
-        assert journal.append("completed", cell="a") is True
-        state = RunJournal.open("j", root=tmp_path).replay()
-        assert set(state.completed) == {"a"}
-
-    def test_checkpoint_degrades_without_raising(self, tmp_path):
-        journal = RunJournal.create({"s": 1}, run_id="j", root=tmp_path)
-        with storage_faults(_DEAD_DISK), pytest.warns(RuntimeWarning):
-            journal.checkpoint(completed=3, total=5)
-        assert journal.write_errors == 2  # snapshot + its journal record
-        assert journal.read_checkpoint() is None
-
-    def test_store_payload_degrades_and_resume_sees_a_miss(self, tmp_path):
-        journal = RunJournal.create({"s": 1}, run_id="j", root=tmp_path)
-        with storage_faults(_DEAD_DISK), pytest.warns(RuntimeWarning):
-            assert journal.store_payload("cell", {"v": 1}) is False
-        assert journal.write_errors == 1
-        assert journal.load_payload("cell", default="miss") == "miss"
-        # No partial payload file may be visible (atomic-write contract).
-        assert list((tmp_path / "j").rglob("*.pkl")) == []
-
-    def test_read_checkpoint_counts_corruption(self, tmp_path):
-        journal = RunJournal.create({"s": 1}, run_id="j", root=tmp_path)
-        journal.checkpoint(completed=1, total=2)
-        (tmp_path / "j" / "checkpoint.json").write_text("{torn")
-        with pytest.warns(RuntimeWarning, match="repro fsck"):
-            assert journal.read_checkpoint() is None
-        assert journal.corrupt_reads == 1
-
-    def test_load_payload_counts_corruption_and_evicts(self, tmp_path):
-        journal = RunJournal.create({"s": 1}, run_id="j", root=tmp_path)
-        assert journal.store_payload("cell", {"v": 1}) is True
-        payload_path = journal._payload_path("cell")
-        payload_path.write_bytes(payload_path.read_bytes()[:4])
-        with pytest.warns(RuntimeWarning, match="repro fsck"):
-            assert journal.load_payload("cell", default="miss") == "miss"
-        assert journal.corrupt_reads == 1
-        assert not payload_path.exists(), "corrupt payload is evicted"
-
-    def test_faults_emit_storage_fault_telemetry(self, tmp_path):
-        journal = RunJournal.create({"s": 1}, run_id="j", root=tmp_path)
-        tracer = Tracer()
-        journal.tracer = tracer
-        with storage_faults(_DEAD_DISK), pytest.warns(RuntimeWarning):
-            journal.append("dispatched", cell="a")
-        (tmp_path / "j" / "checkpoint.json").write_text("{torn")
-        with pytest.warns(RuntimeWarning):
-            journal.read_checkpoint()
-        kinds = [event.op for event in tracer.events]
-        assert kinds == ["journal-append", "corrupt-read"]
-        assert tracer.metrics.counter("storage.faults").value == 2
-
-
 class TestCacheDegradation:
     def test_put_degrades_counts_and_returns_false(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
@@ -335,6 +300,9 @@ class TestCacheDegradation:
         stats = cache.stats()
         assert stats["write_errors"] == 2
         assert cache.get("key-1", default="miss") == "miss"
+        # No partial entry (or tmp file) is left visible.
+        assert [p for p in (tmp_path / "cache").rglob("*") if p.is_file()] \
+            == []
         # The degradation is transient: a healthy disk stores again.
         assert cache.put("key-1", {"v": 1}) is True
         assert cache.get("key-1") == {"v": 1}
@@ -356,28 +324,22 @@ class TestEngineOnDeadDisk:
             cache=tmp_path / "ref-cache",
         ).run_matrix(apps, configs=configs, threads=threads, seed=1)
 
-        journal = RunJournal.create({"s": 1}, run_id="dd", root=tmp_path)
         tracer = Tracer()
-        engine = ExperimentEngine(
-            cache=tmp_path / "cache", journal=journal, tracer=tracer,
-        )
+        engine = ExperimentEngine(cache=tmp_path / "cache", tracer=tracer)
         with storage_faults(_DEAD_DISK), pytest.warns(RuntimeWarning):
             matrix = engine.run_matrix(
                 apps, configs=configs, threads=threads, seed=1,
             )
         # Same science out, despite a disk that dropped everything.
         assert matrix_to_json(matrix) == matrix_to_json(reference)
-        assert journal.write_errors > 0
         assert engine.cache.stats()["write_errors"] == len(apps) * len(
             configs
         )
         faults = [e for e in tracer.events if e.kind == "storage.fault"]
-        assert faults, "cache/journal faults must surface as telemetry"
-        assert {e.op for e in faults} >= {"cache-store"}
+        assert [e.op for e in faults] == ["cache-store"] * len(configs)
+        assert tracer.metrics.counter("storage.faults").value == len(faults)
 
         metrics = MetricsRegistry()
         record_engine_metrics(metrics, engine)
-        assert metrics.counter("journal.write_errors").value == \
-            journal.write_errors
         assert metrics.counter("cache.write_errors").value == \
             engine.cache.stats()["write_errors"]

@@ -3,7 +3,7 @@
 The engine-integration tests wedge a real worker with SIGSTOP — the
 one failure mode the per-cell timeout cannot distinguish from "slow" —
 and assert the supervisor kills it, requeues its cell through the
-normal retry machinery, and (with a journal) records the stall.
+normal retry machinery, and counts and traces the stall.
 """
 
 import os
@@ -12,7 +12,6 @@ import signal
 import pytest
 
 from repro.errors import ConfigError
-from repro.experiments.journal import RunJournal
 from repro.experiments.parallel import CellFailure, ExperimentEngine
 from repro.experiments.watchdog import (
     BEAT,
@@ -21,6 +20,7 @@ from repro.experiments.watchdog import (
     WatchdogPolicy,
     start_beat_thread,
 )
+from repro.telemetry import Tracer, WorkerStalled
 
 
 class TestWatchdogPolicy:
@@ -163,13 +163,11 @@ class TestEngineSupervision:
         assert failure.kind == "stalled"
         assert "no heartbeat" in failure.message
 
-    def test_stall_is_journaled(self, tmp_path):
-        journal = RunJournal.create(
-            {"kind": "watchdog-test"}, run_id="wd", root=tmp_path,
-        )
+    def test_stall_is_counted_and_traced(self, tmp_path):
+        tracer = Tracer()
         engine = ExperimentEngine(
             workers=2, retries=1, chunksize=1, backoff_base_s=0.0,
-            watchdog=_FAST_WATCHDOG, journal=journal,
+            watchdog=_FAST_WATCHDOG, tracer=tracer,
         )
         out = engine.run_cells(
             [
@@ -179,10 +177,12 @@ class TestEngineSupervision:
             task_fn=_stall_once,
         )
         assert out == ["c0", "c1"]
-        state = journal.replay()
-        assert state.stalls == 1
-        assert state.finished
-        assert state.completed_ids == {"cell#0", "cell#1"}
+        assert engine.stats.stalled == 1
+        (event,) = tracer.events
+        assert isinstance(event, WorkerStalled)
+        assert event.cells == 1
+        assert event.stale_s >= _FAST_WATCHDOG.stale_after_s
+        assert tracer.metrics.counter("engine.worker_stalls").value == 1
 
     def test_healthy_workers_unaffected_by_watchdog(self):
         engine = ExperimentEngine(workers=2, watchdog=_FAST_WATCHDOG)
